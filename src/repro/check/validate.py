@@ -16,7 +16,8 @@ A measurement above its bound is a **violation** — the CI flow-bounds
 job fails on any.  Alongside soundness the harness reports *tightness*
 (bound / observed, 1.0 = exact): sound bounds are easy if vacuous, so
 ``BENCH_substrate.json``'s ``flow_bounds`` section records the minimum
-tightness ratio and a threshold ceiling keeps it from degrading.
+tightness ratio, and a hard threshold floor (no violations, minimum
+tightness >= 1.0) keeps the recorded bounds sound.
 
 Flow tracing disables round-template fast-forward (the template engine
 refuses bulk replay while ``sim.flows.enabled``), so every round runs

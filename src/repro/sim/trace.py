@@ -41,10 +41,13 @@ their own without touching the kernel.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import IO, Any
 
@@ -63,6 +66,7 @@ __all__ = [
     "TRACE_MODES",
     "make_trace",
     "jsonable",
+    "jsonl_sha256",
     "record_to_json",
 ]
 
@@ -122,14 +126,107 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
+#: The compact encoder ``json.dumps(..., separators=(",", ":"))`` would
+#: build afresh on every call; everything off the fast paths goes here.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_int_repr = int.__repr__
+_HEADER = ("time", "category", "source")
+#: Structure caches, never keyed by values, so their size is bounded by
+#: the model (the whole registry has ~100 entries): (category, source)
+#: -> the ``,"category":..,"source":..`` fragment, and tuple(detail) ->
+#: the detail keys in sorted order, each with its ``,"key":`` fragment.
+_HEADS: dict[tuple[str, str], str] = {}
+_FIELDS: dict[tuple, tuple[tuple[Any, str], ...] | None] = {}
+#: records hashed per chunk by :func:`jsonl_sha256`
+_DIGEST_CHUNK = 4096
+
+
+def _head(category: Any, source: Any) -> str:
+    head = f',"category":{_ENCODE(category)},"source":{_ENCODE(source)}'
+    # Only exact strings are cached: 1, 1.0 and True are equal dict keys
+    # but encode differently.
+    if type(category) is str and type(source) is str:
+        _HEADS[category, source] = head
+    return head
+
+
+def _fields(keys: tuple) -> tuple[tuple[Any, str], ...] | None:
+    """Sorted detail keys with their encoded ``,"key":`` fragments, or
+    None when a key shadows a header field."""
+    order = sorted(keys)  # unorderable keys raise TypeError, as json.dumps did
+    if any(k in _HEADER for k in keys):
+        fields = None
+    else:
+        # _ENCODE({k: 0}) is '{<key>:0}': the key exactly as json writes it
+        fields = tuple((k, "," + _ENCODE({k: 0})[1:-2]) for k in order)
+    if all(type(k) is str for k in keys):
+        _FIELDS[keys] = fields
+    return fields
+
+
+def _unshadowed(rec: TraceRecord) -> TraceRecord:
+    """``rec`` with each detail entry named like a header field moved
+    into that field (coerced, as detail values are): in the JSON object
+    the detail value replaces the header value in the header's place."""
+    rest = dict(rec.detail)
+    head = [jsonable(rest.pop(name)) if name in rest else getattr(rec, name)
+            for name in _HEADER]
+    return TraceRecord(*head, detail=rest)
+
+
 def record_to_json(rec: TraceRecord) -> str:
-    """One NDJSON line for ``rec`` with stable field order."""
-    return json.dumps({
-        "time": rec.time,
-        "category": rec.category,
-        "source": rec.source,
-        **{k: jsonable(v) for k, v in sorted(rec.detail.items())},
-    }, separators=(",", ":"))
+    """One NDJSON line for ``rec``: ``time``, ``category``, ``source``,
+    then the detail keys in sorted order, values coerced by
+    :func:`jsonable` — byte for byte ``json.dumps`` of that object with
+    compact separators."""
+    try:
+        head = _HEADS[rec.category, rec.source]
+    except (KeyError, TypeError):  # TypeError: unhashable, never cached
+        head = _head(rec.category, rec.source)
+    detail = rec.detail
+    keys = tuple(detail)
+    try:
+        fields = _FIELDS[keys]
+    except KeyError:
+        fields = _fields(keys)
+    if fields is None:
+        return record_to_json(_unshadowed(rec))
+    t = rec.time
+    # time is written as given, never coerced: a non-JSON time raises
+    out = ['{"time":', _int_repr(t) if type(t) is int else _ENCODE(t), head]
+    append = out.append
+    for key, frag in fields:
+        v = detail[key]
+        append(frag)
+        # exact types only: bool and IntEnum are int subclasses
+        tv = type(v)
+        if tv is int:
+            append(_int_repr(v))
+        elif tv is str:
+            append(_encode_str(v))
+        elif v is None:
+            append("null")
+        elif v is True:
+            append("true")
+        elif v is False:
+            append("false")
+        else:
+            append(_ENCODE(jsonable(v)))
+    append("}")
+    return "".join(out)
+
+
+def jsonl_sha256(records: Iterable[TraceRecord]) -> str:
+    """sha256 hex digest of the JSONL text of ``records`` (one
+    :func:`record_to_json` line each, ``"\\n"``-separated, no trailing
+    newline), hashed in chunks so the whole text is never built."""
+    h = hashlib.sha256()
+    lines = map(record_to_json, records)
+    sep = ""
+    while chunk := list(islice(lines, _DIGEST_CHUNK)):
+        h.update((sep + "\n".join(chunk)).encode())
+        sep = "\n"
+    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -514,6 +611,9 @@ class TraceLog:
         predicate: Callable[[TraceRecord], bool] | None = None,
     ) -> list[TraceRecord]:
         """Filtered view of the stored trace (all filters optional, ANDed)."""
+        if (category is None and source is None and since is None
+                and until is None and predicate is None):
+            return list(self._stored())
         out = []
         for rec in self._stored():
             if category is not None and rec.category != category:

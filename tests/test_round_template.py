@@ -28,7 +28,7 @@ REGISTRY = default_registry()
 REPLAYING = ("tdma-cluster", "tdma-smoke", "tt-vn-pipeline")
 
 
-_VOLATILE = ("wall_s", "round_template", "template_cache")
+_VOLATILE = ("wall_s", "digest_s", "round_template", "template_cache")
 
 
 def _comparable(result: dict) -> dict:

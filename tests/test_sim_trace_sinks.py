@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.export import to_jsonl
 from repro.errors import SimulationError
+from repro.runner.executor import trace_digest
 from repro.sim import (
     MS,
     SEC,
@@ -46,6 +47,8 @@ def test_golden_digest_memory_sink_matches_pre_refactor_trace():
     assert len(records) == GOLDEN_RECORDS
     digest = hashlib.sha256(to_jsonl(records).encode()).hexdigest()
     assert digest == GOLDEN_DIGEST
+    # the sweep executor's streamed digest is the same hash
+    assert trace_digest(system.sim) == GOLDEN_DIGEST
 
 
 def test_counter_sink_counts_match_memory_sink_per_category():

@@ -1,0 +1,167 @@
+"""The trace-record encoder and the streamed digest.
+
+``record_to_json`` is a specialised encoder; it must write exactly the
+bytes of ``json.dumps`` over the record's JSON object.  That plain path
+is kept here, and only here, as the oracle every fast path is checked
+against.  ``jsonl_sha256`` must equal hashing the whole JSONL export,
+at every chunk boundary.
+"""
+
+from __future__ import annotations
+
+import enum
+import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.export import to_jsonl
+from repro.ledger import record_from_result
+from repro.runner.executor import run_scenario, trace_digest
+from repro.runner.scenarios import build_scenario, default_registry
+from repro.sim.trace import (
+    TraceLog,
+    TraceRecord,
+    jsonable,
+    jsonl_sha256,
+    record_to_json,
+)
+
+REGISTRY = default_registry()
+FULL_TRACE = sorted(n for n, s in REGISTRY.items() if s.trace_mode == "full")
+
+
+def oracle(rec: TraceRecord) -> str:
+    return json.dumps({
+        "time": rec.time,
+        "category": rec.category,
+        "source": rec.source,
+        **{k: jsonable(v) for k, v in sorted(rec.detail.items())},
+    }, separators=(",", ":"))
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Opaque:
+    def __str__(self) -> str:
+        return 'opaque "é\\'
+
+
+# st.text() draws non-ASCII, quotes, backslashes and control characters
+texts = st.text(max_size=12)
+ints = st.one_of(st.integers(), st.integers(min_value=-(10**300), max_value=10**300))
+scalars = st.one_of(
+    ints, st.booleans(), st.none(), texts,
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.sampled_from(list(Level)), st.builds(Opaque),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(texts, st.integers(), st.booleans(), st.none(),
+                                  st.floats()), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+# header names as detail keys: the detail value takes the header's place
+keys = st.one_of(texts, st.sampled_from(["time", "category", "source", "sender", "vn"]))
+records = st.builds(
+    TraceRecord,
+    time=st.one_of(ints, st.floats(), st.sampled_from(list(Level))),
+    category=st.one_of(texts, st.sampled_from(["frame.tx", "app"])),
+    source=st.one_of(texts, st.sampled_from(["bus", "gw"])),
+    detail=st.dictionaries(keys, values, max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(records)
+def test_record_to_json_is_byte_identical_to_json_dumps(rec: TraceRecord) -> None:
+    assert record_to_json(rec) == oracle(rec)
+
+
+@pytest.mark.parametrize("rec", [
+    TraceRecord(0, "app", "x"),
+    TraceRecord(-(10**50), "app", "x", {"a": 10**50, "b": -3}),
+    TraceRecord(1, "app", "x", {1: "int key", 2.5: None}),
+    TraceRecord(1, "app", "x", {True: 0}),
+    TraceRecord(1, 1, True, {"source": [1, (2,)], "time": Level.HIGH}),
+    TraceRecord(1.5, "cé\n", 'q"\\', {"v": float("nan"), "w": -0.0}),
+])
+def test_edge_records_match_the_oracle(rec: TraceRecord) -> None:
+    assert record_to_json(rec) == oracle(rec)
+
+
+def test_equal_but_differently_typed_structure_is_not_confused() -> None:
+    # 1 == 1.0 == True as dict keys; the caches must not mix them up
+    for cat in (1, 1.0, True, "1"):
+        for key in (1, 1.0, True, "1"):
+            rec = TraceRecord(0, cat, "s", {key: key})
+            assert record_to_json(rec) == oracle(rec)
+
+
+@pytest.mark.parametrize("rec", [
+    TraceRecord(object(), "app", "x", {"a": 1}),  # a non-JSON time
+    TraceRecord(0, "app", "x", {"time": 1, 1: 2}),  # unorderable detail keys
+])
+def test_unencodable_records_still_raise_type_error(rec: TraceRecord) -> None:
+    with pytest.raises(TypeError):
+        oracle(rec)
+    with pytest.raises(TypeError):
+        record_to_json(rec)
+
+
+def _records(n: int) -> list[TraceRecord]:
+    return [TraceRecord(i, "app", f"s{i % 7}", {"i": i, "tag": "x" * (i % 5)})
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+def test_jsonl_sha256_equals_hashing_the_whole_export(n: int) -> None:
+    recs = _records(n)
+    want = hashlib.sha256(to_jsonl(recs).encode()).hexdigest()
+    assert jsonl_sha256(recs) == want
+    assert jsonl_sha256(iter(recs)) == want
+
+
+def test_jsonl_sha256_of_an_empty_trace_is_sha256_of_nothing() -> None:
+    assert jsonl_sha256([]) == hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("name", FULL_TRACE)
+def test_trace_digest_matches_the_oracle_on_full_trace_scenarios(name: str) -> None:
+    spec = REGISTRY[name]
+    sim = build_scenario(spec)
+    try:
+        sim.run_until(spec.horizon_ns)
+    finally:
+        sim.trace.close()
+    text = "\n".join(oracle(rec) for rec in sim.trace.records())
+    assert trace_digest(sim) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_records_without_filters_copy_the_stored_trace() -> None:
+    tr = TraceLog()
+    for i in range(6):
+        tr.record(i, "app" if i % 2 else "frame.tx", f"s{i % 3}", i=i)
+    everything = tr.records()
+    assert everything == list(tr)
+    everything.clear()  # a copy: the stored trace is untouched
+    assert len(tr) == 6
+    assert [r.time for r in tr.records(category="app")] == [1, 3, 5]
+    assert [r.time for r in tr.records(source="s0", since=1)] == [3]
+    assert [r.time for r in tr.records(until=2, predicate=lambda r: r["i"] > 0)] == [1, 2]
+
+
+def test_result_reports_digest_time_but_ledger_leaves_it_out() -> None:
+    spec = REGISTRY["tdma-smoke"]
+    result = run_scenario(spec)
+    assert result["digest_s"] >= 0
+    assert "digest_s" not in record_from_result(spec, result, "code")

@@ -5,14 +5,16 @@ Re-runs nothing itself: it compares the numbers a fresh benchmark run
 just wrote into ``BENCH_substrate.json`` against the bounds the repo
 promises (kernel ``batched_speedup`` >= 1.2, round-template
 fast-forward >= 3.0 on each pure-TT scenario, paced-runtime dispatch
-overhead <= 10x the simulated runtime).
+overhead <= 10x the simulated runtime) and the flow-bound soundness
+floor (no violations, ``min_tightness`` >= 1.0).
 
-Shared CI runners are noisy, so each bound is first relaxed by
+Shared CI runners are noisy, so each speed bound is first relaxed by
 ``--tolerance`` (default 0.85): for a ``min`` bound a value below
 ``floor * tolerance`` fails the job and one between the scaled and the
 nominal floor only warns; a ``max`` bound mirrors this (fail above
 ``ceiling / tolerance``, warn above the nominal ceiling).
-``--tolerance 1.0`` makes every bound hard.
+``--tolerance 1.0`` makes every bound hard.  The soundness floor is
+always hard.
 
 Usage::
 
@@ -44,7 +46,6 @@ THRESHOLDS: tuple[tuple[str, tuple[str, ...], float, str], ...] = (
     # scenarios with the fsync'd ledger enabled may cost at most 5% over
     # running them without it (ISSUE 8 acceptance bound).
     ("ledger", ("append_overhead_x",), 1.05, "max"),
-    ("flow_bounds", ("min_tightness",), 2.0, "max"),
     # Campaign-scale throughput (ISSUE 10): the batched result-cache +
     # ledger machinery may cost at most 5% over a persistence-free run
     # of the same generated scenarios, cold campaigns must sustain the
@@ -54,6 +55,14 @@ THRESHOLDS: tuple[tuple[str, tuple[str, ...], float, str], ...] = (
     ("campaign", ("batch_overhead_x",), 1.05, "max"),
     ("campaign", ("cold_runs_per_s",), 8.0, "min"),
     ("campaign", ("warm_runs_per_s",), 500.0, "min"),
+)
+
+#: Soundness bounds, same shape, checked exactly: ``--tolerance`` never
+#: relaxes them, because a static flow bound that the simulation
+#: exceeded is wrong, not noisy.
+HARD_THRESHOLDS: tuple[tuple[str, tuple[str, ...], float, str], ...] = (
+    ("flow_bounds", ("violations",), 0, "max"),
+    ("flow_bounds", ("min_tightness",), 1.0, "min"),
 )
 
 
@@ -86,41 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL cannot read {path}: {exc}")
         return 2
 
-    failures = warnings = 0
-    for section_name, key_path, bound, direction in THRESHOLDS:
-        label = f"{section_name}.{'.'.join(key_path)}"
-        section = bench.get(section_name)
-        if not isinstance(section, dict):
-            print(f"FAIL {label}: section {section_name!r} missing from {path}")
-            failures += 1
-            continue
-        value = _lookup(section, key_path)
-        if value is None:
-            print(f"FAIL {label}: key missing from section")
-            failures += 1
-        elif direction == "min":
-            if value < bound * tolerance:
-                print(f"FAIL {label}: {value:.3f} < {bound * tolerance:.3f} "
-                      f"(floor {bound} x tolerance {tolerance})")
-                failures += 1
-            elif value < bound:
-                print(f"WARN {label}: {value:.3f} below nominal floor {bound} "
-                      f"(within tolerance {tolerance})")
-                warnings += 1
-            else:
-                print(f"OK   {label}: {value:.3f} >= {bound}")
-        else:
-            if value > bound / tolerance:
-                print(f"FAIL {label}: {value:.3f} > {bound / tolerance:.3f} "
-                      f"(ceiling {bound} / tolerance {tolerance})")
-                failures += 1
-            elif value > bound:
-                print(f"WARN {label}: {value:.3f} above nominal ceiling "
-                      f"{bound} (within tolerance {tolerance})")
-                warnings += 1
-            else:
-                print(f"OK   {label}: {value:.3f} <= {bound}")
-
+    failures, warnings = check(bench, tolerance)
     if failures:
         print(f"{failures} benchmark threshold(s) regressed")
         return 1
@@ -128,6 +103,47 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{warnings} threshold(s) in the warn band — shared-runner "
               "noise, or the start of a regression")
     return 0
+
+
+def check(bench: dict, tolerance: float) -> tuple[int, int]:
+    """Print one line per bound; returns ``(failures, warnings)``."""
+    failures = warnings = 0
+    bounds = ([(t, tolerance) for t in THRESHOLDS]
+              + [(t, 1.0) for t in HARD_THRESHOLDS])
+    for (section_name, key_path, bound, direction), tol in bounds:
+        label = f"{section_name}.{'.'.join(key_path)}"
+        section = bench.get(section_name)
+        if not isinstance(section, dict):
+            print(f"FAIL {label}: section {section_name!r} missing")
+            failures += 1
+            continue
+        value = _lookup(section, key_path)
+        if value is None:
+            print(f"FAIL {label}: key missing from section")
+            failures += 1
+        elif direction == "min":
+            if value < bound * tol:
+                print(f"FAIL {label}: {value:.3f} < {bound * tol:.3f} "
+                      f"(floor {bound} x tolerance {tol})")
+                failures += 1
+            elif value < bound:
+                print(f"WARN {label}: {value:.3f} below nominal floor {bound} "
+                      f"(within tolerance {tol})")
+                warnings += 1
+            else:
+                print(f"OK   {label}: {value:.3f} >= {bound}")
+        else:
+            if value > bound / tol:
+                print(f"FAIL {label}: {value:.3f} > {bound / tol:.3f} "
+                      f"(ceiling {bound} / tolerance {tol})")
+                failures += 1
+            elif value > bound:
+                print(f"WARN {label}: {value:.3f} above nominal ceiling "
+                      f"{bound} (within tolerance {tol})")
+                warnings += 1
+            else:
+                print(f"OK   {label}: {value:.3f} <= {bound}")
+    return failures, warnings
 
 
 if __name__ == "__main__":
