@@ -458,19 +458,19 @@ def test_perf_round_template_fast_forward(run_once):
 
 
 # ----------------------------------------------------------------------
-# round-template v2: quasi-periodic arming + persistent template bank
+# round-template v2: mixed TT/ET arming + persistent template bank
 # ----------------------------------------------------------------------
 def test_perf_round_template_v2(run_once, tmp_path):
-    """Quasi-periodic fast path and warm starts on the car scenario.
+    """Round-template fast path and warm starts on the car scenario.
 
     ``car-baseline`` mixes TT rounds with ET chunk traffic, GPS bursts
-    and partition-guard windows, so strict mode disarms and v1 ran it
-    entirely live.  The quasi-periodic engine replays the recurring
-    round classes between those live punctuations.  Three configurations
-    run, all byte-identical by digest:
+    and partition-guard windows.  The engine's per-round fingerprints
+    let it replay the recurring round classes between those live
+    punctuations.  Three configurations run, all byte-identical by
+    digest:
 
     - *event_by_event* — ``round_template: False``, the honest baseline;
-    - *cold* — quasi-periodic arming, empty template store (compiles
+    - *cold* — round-template arming, empty template store (compiles
       templates while running, persists the bank);
     - *warm* — same spec again, templates loaded from the persisted
       bank, so replay starts from the first recurrence.

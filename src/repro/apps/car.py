@@ -103,11 +103,10 @@ class CarConfig:
     #: histograms.  Off by default (wall time is nondeterministic).
     profile: bool = False
     #: Round-template fast-forward (repro.sim.round_template).  On by
-    #: default in *strict* mode: the car's ET VNs and gateways are
-    #: dynamic sources that block strict replay, so the engine stays
-    #: disengaged here but records its reason.  The scenario runner
-    #: re-activates quasi-periodic mode, where the same dynamics
-    #: participate via fingerprints instead (see runner/scenarios.py).
+    #: default: the car's ET VNs, gateways, and partitions participate
+    #: via fingerprints, so steady-state rounds are bulk-replayed with
+    #: byte-identical traces.  False keeps exact event-by-event
+    #: execution.
     round_template: bool = True
     #: Optional value-domain filter chain on the abs->navigation
     #: gateway (e.g. plausibility bounds on imported wheel speeds).
@@ -196,9 +195,9 @@ def build_car(config: CarConfig | None = None) -> CarSystem:
         sim.enable_profiling()
     if cfg.round_template:
         sim.round_template.activate()
-        # Pin the vehicle model's behavioural phase for quasi-periodic
-        # replay (no-op in strict mode): transitions of the quantized
-        # dynamics veto replay around them, steady phases are replayable.
+        # Pin the vehicle model's behavioural phase for replay:
+        # transitions of the quantized dynamics veto replay around
+        # them, steady phases are replayable.
         sim.round_template.register_participant(VehicleFingerprint(vehicle))
     builder = SystemBuilder(sim=sim, major_frame=cfg.major_frame,
                             guardian_enabled=cfg.guardian_enabled)

@@ -748,7 +748,7 @@ def _cmd_ledger_show(args: argparse.Namespace) -> int:
         print(f"  {e.get('ts', '?'):25s} {e['name']:28s} "
               f"digest={e['digest'][:12]} code={e.get('code_digest', '?')[:8]} "
               f"wall={e.get('wall_s', 0):.3f}s runtime={e.get('runtime', 'sim')}"
-              + (f" ff={tpl.get('events_fast_forwarded', 0):,}" if tpl else ""))
+              + (f" replayed={tpl.get('rounds_replayed', 0)}" if tpl else ""))
     return 0
 
 

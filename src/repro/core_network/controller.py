@@ -395,10 +395,10 @@ class CommunicationController(Process):
                 missed[key[7:]] += d * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
-        """Quasi-periodic-mode fingerprint (strict mode never calls this).
+        """Round-template fingerprint.
 
         A drifting clock's slot phase never recurs exactly, so imperfect
-        clocks veto every boundary — those clusters run live, as before.
+        clocks veto every boundary — those clusters run live.
         Perfect clocks (the common case in large models) contribute the
         fault-hook state; corrections shift all of the controller's
         events uniformly, which the engine's phase normalization absorbs.

@@ -140,9 +140,8 @@ class VirtualGateway(Process):
         self._m_blocked = m.counter("gateway.blocks")
         self._m_restarts = m.counter("gateway.restarts")
         sim.register_checkable(self)
-        # Gateway redirection reacts to message arrivals — a blocking
-        # interleaving source under strict round templates, but a
-        # fingerprinted dynamic participant in quasi-periodic mode:
+        # Gateway redirection reacts to message arrivals — a
+        # fingerprinted dynamic round-template participant:
         # steady-state periodic redirection repeats at the hyperperiod,
         # and the fingerprint (monitor locations and clock cells,
         # repository availability classes, halted rules) forces any

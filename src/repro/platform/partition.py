@@ -106,8 +106,7 @@ class Partition:
         self._m_windows = m.counter("partition.windows")
         self._m_deferred = m.histogram("partition.deferred_per_window")
         # Window execution is demand-shaped by job state: a fingerprinted
-        # dynamic participant in quasi-periodic round-template mode (and,
-        # like every dynamic, a blocker in strict mode).
+        # dynamic round-template participant.
         sim.round_template.register_dynamic(f"partition.{name}", self)
 
     # ------------------------------------------------------------------

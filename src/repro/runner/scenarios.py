@@ -380,12 +380,11 @@ def build_scenario(spec: ScenarioSpec) -> Simulator:
     if spec.param("round_template", True):
         # Steady-state fast-forward, on by default for scenario runs
         # (``round_template: False`` — the CLI's --no-round-template —
-        # keeps exact event-by-event execution).  Quasi-periodic mode
-        # lets scenarios with ET traffic and gateways (the car family)
-        # arm too: their dynamics participate via fingerprints instead
-        # of blocking outright.  Arming additionally requires a runtime
-        # that supports templates (only ``sim``).
-        sim.round_template.activate(quasi_periodic=True)
+        # keeps exact event-by-event execution).  Scenarios with ET
+        # traffic and gateways (the car family) arm too: their dynamics
+        # participate via fingerprints.  Arming additionally requires a
+        # runtime that supports templates (only ``sim``).
+        sim.round_template.activate()
     return sim
 
 

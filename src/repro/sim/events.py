@@ -250,7 +250,7 @@ class EventQueue:
         """Re-timestamp live events with ``time < bound`` individually.
 
         The per-event sibling of :meth:`shift_span`, used by
-        quasi-periodic round replay when the chains pending inside a
+        round-template replay when the chains pending inside a
         replayed round advance by *different* strides (a drifting
         producer next to an exactly-periodic slot chain).  ``mapper``
         receives ``(time, priority, event)`` and returns the event's new

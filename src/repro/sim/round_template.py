@@ -9,39 +9,29 @@ within every round.  This module compiles that repetition into a
 **round template** and lets the kernel *replay* whole rounds in bulk
 instead of executing them event by event.
 
-Two eligibility modes (see DESIGN 6.w for the full matrix):
-
-**Strict** (``activate()``) is the original engine: pure-TT clusters
-only.  Any event-triggered virtual network, gateway, or drifting clock
-permanently blocks the fast path, and a template requires two identical
-*consecutive* rounds.
-
-**Quasi-periodic** (``activate(quasi_periodic=True)``) extends capture
-to gateway scenarios whose ET traffic reaches steady state: periodic
-senders whose send pattern repeats at the hyperperiod.  Instead of one
-template it maintains a **bank** keyed by the *phase-normalized* heap
-signature plus a participant **fingerprint**, so rounds that recur at
-different offsets against the round grid (drifting producers, window
-orbits) re-arm by re-timestamping the template deltas against the
-observed boundary phase.  ET networks and gateways register as *dynamic
-participants* (:meth:`RoundTemplateEngine.register_dynamic`) rather
-than permanent blockers: their per-round state deltas are checked and
-extrapolated like any other participant, and their fingerprints veto
-rounds whose hidden state (pending ET queues, message freshness) does
-not exactly match the compiled occurrence.
+Eligibility (see DESIGN 6.w for the full table) is decided round by
+round, not per simulator.  Templates live in a **bank** keyed by the
+*phase-normalized* heap signature plus a participant **fingerprint**,
+so rounds that recur at different offsets against the round grid
+(drifting producers, window orbits) re-arm by re-timestamping the
+template deltas against the observed boundary phase.  ET networks and
+gateways register as *dynamic participants*
+(:meth:`RoundTemplateEngine.register_dynamic`): their per-round state
+deltas are checked and extrapolated like any other participant's, and
+their fingerprints veto rounds whose hidden state (pending ET queues,
+message freshness) does not exactly match the compiled occurrence.
 
 How it works
 ------------
 The engine observes the simulation at **round boundaries** (multiples
-of the cluster-cycle LCM; in quasi-periodic mode registered *label*
-periods are deliberately not folded in, so ET/TT dispatch periods above
-the cycle hyperperiod show up as far events instead of exploding the
-round).  While recording it snapshots observable state at boundaries
-(metric counters, histograms, trace tick counts, and every registered
-participant's ``rt_state()``) plus the exact trace records a round
-emitted.  A strict template compiles from two identical consecutive
-rounds; a quasi-periodic template compiles per bank key — immediately
-in counter-trace runs (no records to prototype), or from two paired
+of the cluster-cycle LCM; registered *label* periods are folded in only
+when no cluster is registered, so ET/TT dispatch periods above the
+cycle hyperperiod show up as far events instead of exploding the
+round).  At every boundary it snapshots observable state (metric
+counters, histograms, trace tick counts, and every registered
+participant's ``rt_state()``) plus the exact trace records the round
+emitted.  A template compiles per bank key — immediately in
+counter-trace runs (no records to prototype), or from two paired
 occurrences of the same key in full-trace runs (record offsets must
 match relative to each occurrence's phase, with an integer per-round
 stride on whitelisted keys like ``cycle``).
@@ -55,10 +45,10 @@ and every participant's statistics by ``k`` times the per-round delta,
 advance the pending heap events by their observed successor strides,
 and skip ahead.  Byte-for-byte trace parity is *checked, not assumed*:
 templates are built from observed equality, the boundary signature and
-fingerprint are re-verified before every replay (in quasi-periodic mode
-the bank lookup *is* that verification), and any deviation — an
-unregistered event, a non-linear state delta, a fingerprint mismatch —
-falls back to event-by-event execution for that round.
+fingerprint are re-verified before every replay (the bank lookup *is*
+that verification), and any deviation — an unregistered event, a
+non-linear state delta, a fingerprint mismatch — falls back to
+event-by-event execution for that round.
 
 Persistent template store
 -------------------------
@@ -66,8 +56,8 @@ Persistent template store
 sweep's second run — and every parallel worker — skips warm-up (see
 :class:`repro.runner.cache.TemplateStore`; keyed by spec + code digest
 + :data:`ENGINE_VERSION`).  A loaded bank is validated eagerly against
-the engine's mode, round length, label set, and participant count;
-any mismatch or parse error discards it and falls back to live
+the engine's round length, label set, and participant count; any
+mismatch or parse error discards it and falls back to live
 compilation.  Runs that punctured never persist their bank.
 
 Interleaving-source contract
@@ -76,11 +66,11 @@ Dynamic activity that is *not* part of the periodic round must either
 
 * register a permanent **interleaving source**
   (:meth:`RoundTemplateEngine.add_interleaving_source`) — a true
-  unknown, disabling the fast path in both modes, or
+  unknown, disabling the fast path for the whole simulator, or
 * register as a **dynamic participant**
-  (:meth:`RoundTemplateEngine.register_dynamic`) — ET virtual networks
-  and gateways do this at construction: blocking in strict mode,
-  delta-checked and fingerprinted in quasi-periodic mode, or
+  (:meth:`RoundTemplateEngine.register_dynamic`) — ET virtual networks,
+  gateways, and partitions do this at construction, and are
+  delta-checked and fingerprinted round by round, or
 * **puncture** the fast path at the instant the dynamics change
   (:meth:`RoundTemplateEngine.puncture`) — the fault injector does this
   on every activation/deactivation, which drops every compiled template
@@ -91,11 +81,16 @@ Dynamic activity that is *not* part of the periodic round must either
   and replay for that window (this is what makes one-shot test events
   safe by default).
 
+Controllers on imperfect (drifting) clocks need no registration of
+their own: their fingerprint vetoes every boundary, so such clusters
+stay armed but run live.
+
 The engine is **dormant until** :meth:`activate` is called.  Scenario
-builders (:func:`repro.runner.scenarios.build_scenario`) activate the
-quasi-periodic mode by default (``--no-round-template`` opts out);
-hand-built simulators — unit tests poking at model internals between
-events — keep exact event-by-event execution unless they opt in.
+builders (:func:`repro.runner.scenarios.build_scenario`) and
+:func:`repro.apps.build_car` activate it by default
+(``--no-round-template`` opts out); hand-built simulators — unit tests
+poking at model internals between events — keep exact event-by-event
+execution unless they opt in.
 
 Participant protocol (duck-typed)
 ---------------------------------
@@ -107,25 +102,25 @@ Participant protocol (duck-typed)
 ``rt_advance(delta: dict[str, int], k: int) -> None``
     Apply ``k`` rounds' worth of ``delta`` to the model state.
 ``rt_fingerprint(boundary: int, round_len: int) -> tuple | None``
-    *(optional, quasi-periodic only)* JSON-safe tuple of the hidden
-    state that must match exactly for a compiled round to be replayed
-    at this boundary (queue occupancy, freshness ages, value-driven
-    mode bits — including look-ahead over the round when behaviour can
-    change mid-round).  ``None`` vetoes the boundary entirely: the
-    round runs live and is not recorded.  **Invariance contract**: a
-    replay of ``k`` rounds re-verifies the fingerprint only at entry,
-    so a participant's fingerprint must be invariant under its own
-    round delta (``rt_advance(delta, 1)`` at ``B`` must reproduce the
-    fingerprint at ``B + round_len``) — or the participant must bound
-    the span via ``rt_headroom``.
+    *(optional)* JSON-safe tuple of the hidden state that must match
+    exactly for a compiled round to be replayed at this boundary (queue
+    occupancy, freshness ages, value-driven mode bits — including
+    look-ahead over the round when behaviour can change mid-round).
+    ``None`` vetoes the boundary entirely: the round runs live and is
+    not recorded.  **Invariance contract**: a replay of ``k`` rounds
+    re-verifies the fingerprint only at entry, so a participant's
+    fingerprint must be invariant under its own round delta
+    (``rt_advance(delta, 1)`` at ``B`` must reproduce the fingerprint
+    at ``B + round_len``) — or the participant must bound the span via
+    ``rt_headroom``.
 ``rt_headroom(boundary: int, round_len: int) -> int | None``
-    *(optional, quasi-periodic only)* Upper bound on the number of
-    whole rounds from ``boundary`` over which the participant's
-    behaviour is guaranteed phase-repeating (None = unbounded).  Used
-    by model-driven participants whose behaviour changes at known
-    future instants (scenario plan transitions, freshness expiry): a
-    replay never extrapolates past the bound, and a bound of 0 forces
-    the round to run live.
+    *(optional)* Upper bound on the number of whole rounds from
+    ``boundary`` over which the participant's behaviour is guaranteed
+    phase-repeating (None = unbounded).  Used by model-driven
+    participants whose behaviour changes at known future instants
+    (scenario plan transitions, freshness expiry): a replay never
+    extrapolates past the bound, and a bound of 0 forces the round to
+    run live.
 """
 
 from __future__ import annotations
@@ -143,27 +138,16 @@ from .trace import CounterSink, TraceRecord
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
 
-__all__ = ["RoundTemplateEngine", "STRIDE_KEYS", "WARMUP", "MAX_BACKOFF",
-           "ENGINE_VERSION"]
+__all__ = ["RoundTemplateEngine", "STRIDE_KEYS", "ENGINE_VERSION"]
 
 #: Trace-detail keys allowed to advance by a constant integer stride per
 #: round (everything else must be bit-identical between rounds).
 STRIDE_KEYS = ("cycle", "nominal")
 
-#: Rounds skipped after activation/reset before strict recording begins,
-#: so start-up transients (first sync round, membership settling) never
-#: land in a template.
-WARMUP = 2
-
-#: Ceiling for the exponential strict-recording back-off, in rounds.
-MAX_BACKOFF = 64
-
 #: Template wire-format / semantics version.  Bumped whenever the
 #: compiled-template shape or replay semantics change; the persistent
 #: store keys on it so stale files can never be misread.
-ENGINE_VERSION = 2
-
-_IDLE, _REC1, _REC2, _ARMED = 0, 1, 2, 3
+ENGINE_VERSION = 3
 
 
 def _canon(value: Any) -> Any:
@@ -180,7 +164,6 @@ class RoundTemplateEngine:
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self._active = False
-        self._quasi = False
         self._round_len = 0
         self._cycle_periods: list[int] = []
         self._label_periods: list[int] = []
@@ -188,27 +171,18 @@ class RoundTemplateEngine:
         self._dynamics: list[tuple[str, Any]] = []
         self._labels: set[str] = set()
         self._sources: set[str] = set()
-        self._clock_sources: set[str] = set()
         self._parts_cache: list[Any] | None = None
         self._hooks_cache: tuple[list[Any], list[Any]] | None = None
-        self._state = _IDLE
         self._boundary = 0
-        self._skip = WARMUP
-        self._backoff = 1
-        self._snap: dict | None = None
-        self._first_delta: dict | None = None
-        self._first_records: list[TraceRecord] | None = None
         self._capture: list[TraceRecord] = []
         self._capture_listener = self._capture.append
         self._unsub: Callable[[], None] | None = None
-        self._qp_capture_wanted = False
-        self._template: dict | None = None
-        # quasi-periodic bank -------------------------------------------
+        self._capture_wanted = False
+        # template bank -------------------------------------------------
         self._bank: dict[tuple, dict] = {}
         self._cands: dict[tuple, dict] = {}
-        self._qp_prev: tuple | None = None
+        self._prev: tuple | None = None
         self._pending_bank: dict | None = None
-        self._loaded_strict: dict | None = None
         self._dirty = False
         # statistics ----------------------------------------------------
         self.rounds_replayed = 0
@@ -222,36 +196,19 @@ class RoundTemplateEngine:
     # ------------------------------------------------------------------
     # configuration & registration
     # ------------------------------------------------------------------
-    def activate(self, quasi_periodic: bool = False) -> None:
-        """Enable the fast path (dormant by default — see module docs).
-
-        ``quasi_periodic=True`` selects the extended eligibility mode:
-        dynamic participants are fingerprinted instead of blocking, and
-        the round length folds only cluster cycles (not label periods).
-        """
+    def activate(self) -> None:
+        """Enable the fast path (dormant by default — see module docs)."""
         self._active = True
-        if quasi_periodic != self._quasi:
-            self._quasi = quasi_periodic
-            self._touch_config()
-
-    def deactivate(self) -> None:
-        self._active = False
-        self._qp_capture_wanted = False
-        self._reset()
 
     @property
     def active(self) -> bool:
         return self._active
 
     @property
-    def quasi_periodic(self) -> bool:
-        return self._quasi
-
-    @property
     def engaged(self) -> bool:
         """Could the fast path run right now (active, no blocking
-        interleaving sources for the current mode)?"""
-        return self._active and not self._blockers()
+        interleaving sources)?"""
+        return self._active and not self._sources
 
     @property
     def next_boundary(self) -> int:
@@ -265,15 +222,6 @@ class RoundTemplateEngine:
     def bank_dirty(self) -> bool:
         """True iff this run compiled at least one new template."""
         return self._dirty
-
-    def _blockers(self) -> set[str]:
-        """Names blocking the fast path in the current mode."""
-        if self._quasi:
-            return self._sources
-        blockers = self._sources | self._clock_sources
-        for name, _obj in self._dynamics:
-            blockers.add(name)
-        return blockers
 
     @property
     def _eff_parts(self) -> list[Any]:
@@ -310,10 +258,7 @@ class RoundTemplateEngine:
         Registers the cluster's cycle length, every controller's slot and
         cycle-end event labels, and the controllers, bus, and guardian as
         participants.  A controller on an imperfect (drifting) clock
-        blocks the strict mode (its clock state mutates every sync
-        round, which linear extrapolation cannot reproduce); in
-        quasi-periodic mode the controller's clock-phase fingerprint
-        decides round by round instead.
+        needs no special casing: its fingerprint vetoes every boundary.
         """
         self._cycle_periods.append(cluster.schedule.cycle_length)
         for ctrl in cluster.controllers.values():
@@ -321,16 +266,14 @@ class RoundTemplateEngine:
             for slot, _offset in ctrl._own_slots:
                 self._labels.add(f"{ctrl.name}.slot{slot.slot_id}")
             self._participants.append(ctrl)
-            if not ctrl.clock._perfect:
-                self._clock_sources.add(f"clock.{ctrl.component}")
         self._participants.append(cluster.bus)
         self._participants.append(cluster.guardian)
         self._touch_config()
 
     def register_labels(self, labels: Any, period: int | None = None) -> None:
         """Declare event labels as template-covered; ``period`` (if any)
-        is folded into the strict round length (quasi-periodic rounds
-        fold cluster cycles only)."""
+        sets the round length only while no cluster cycle is registered
+        (see :meth:`_recompute_round_len`)."""
         self._labels.update(labels)
         if period is not None and period > 0:
             self._label_periods.append(period)
@@ -344,32 +287,32 @@ class RoundTemplateEngine:
 
     def register_dynamic(self, name: str, obj: Any) -> None:
         """Register an inherently event-triggered subsystem (ET virtual
-        network, gateway).  Blocks the strict mode like an interleaving
-        source; participates (delta-checked + fingerprinted) in
-        quasi-periodic mode."""
+        network, gateway, partition): delta-checked and fingerprinted
+        round by round like any other participant."""
         if all(existing is not obj for _n, existing in self._dynamics):
             self._dynamics.append((name, obj))
         self._touch_config()
 
     def add_interleaving_source(self, name: str) -> None:
         """Permanently disable the fast path for this simulator (a true
-        unknown the engine cannot model in any mode)."""
+        unknown the engine cannot model)."""
         self._sources.add(name)
         self._reset()
 
     def puncture(self) -> None:
         """Drop every compiled template and restart recording (called at
         the instant the model's dynamics change, e.g. fault injection).
-        The whole bank is dropped, not just the current template: a
+        The whole bank is dropped, not just the matching template: a
         post-fault steady state may collide with a pre-fault bank key,
         and a stale hit would replay the wrong deltas."""
         self._reset()
         self.punctures += 1
 
     def _recompute_round_len(self) -> None:
-        periods = list(self._cycle_periods)
-        if not (self._quasi and periods):
-            periods += self._label_periods
+        """The round is the cluster-cycle LCM; label periods count only
+        in cluster-less models (folding a long dispatch period into the
+        round would explode it — such events show up as far events)."""
+        periods = self._cycle_periods or self._label_periods
         length = 0
         for period in periods:
             length = math.lcm(length, period) if length else period
@@ -387,17 +330,9 @@ class RoundTemplateEngine:
     def _reset(self) -> None:
         self._abort_capture()
         self._capture.clear()
-        self._template = None
-        self._snap = None
-        self._first_delta = None
-        self._first_records = None
-        self._state = _IDLE
-        self._skip = WARMUP
-        self._backoff = 1
         self._bank.clear()
         self._cands.clear()
-        self._qp_prev = None
-        self._loaded_strict = None
+        self._prev = None
         self._ensure_capture()
 
     def _abort_capture(self) -> None:
@@ -406,10 +341,10 @@ class RoundTemplateEngine:
             self._unsub = None
 
     def _ensure_capture(self) -> None:
-        """Keep the quasi-periodic record capture subscribed across
-        resets; without it, every template compiled after a puncture
-        would pair empty record lists and replay record-less rounds."""
-        if self._qp_capture_wanted and self._unsub is None:
+        """Keep the record capture subscribed across resets; without it,
+        every template compiled after a puncture would pair empty record
+        lists and replay record-less rounds."""
+        if self._capture_wanted and self._unsub is None:
             self._unsub = self.sim.trace.subscribe(self._capture_listener)
 
     # ------------------------------------------------------------------
@@ -431,10 +366,7 @@ class RoundTemplateEngine:
     def dump_bank(self) -> dict | None:
         """JSON-able snapshot of every compiled template (None if there
         is nothing worth persisting)."""
-        strict_tpl = None
-        if not self._quasi and self._state == _ARMED and self._template:
-            strict_tpl = self._strip(self._template)
-        if not self._bank and strict_tpl is None:
+        if not self._bank:
             return None
         entries = []
         for key in sorted(self._bank, key=repr):
@@ -442,11 +374,9 @@ class RoundTemplateEngine:
                             "tpl": self._strip(self._bank[key])})
         return {
             "version": ENGINE_VERSION,
-            "mode": "qp" if self._quasi else "strict",
             "round_len": self._round_len,
             "labels": self._labels_digest(),
             "parts": len(self._eff_parts),
-            "strict_tpl": strict_tpl,
             "templates": entries,
         }
 
@@ -456,7 +386,7 @@ class RoundTemplateEngine:
              tuple((str(k), v, int(s)) for k, v, s in strides))
             for nrel, cat, src, detail, strides in raw["protos"]
         )
-        tpl = {
+        return {
             "protos": protos,
             "ticks": [{str(c): int(n) for c, n in d.items()}
                       for d in raw["ticks"]],
@@ -471,10 +401,6 @@ class RoundTemplateEngine:
             "uniform": None if raw["uniform"] is None else int(raw["uniform"]),
             "strides": tuple(int(s) for s in raw["strides"]),
         }
-        if raw.get("sig") is not None:
-            tpl["sig"] = tuple((int(r), int(p), str(lb))
-                               for r, p, lb in raw["sig"])
-        return tpl
 
     def _materialize_bank(self) -> None:
         data = self._pending_bank
@@ -490,8 +416,6 @@ class RoundTemplateEngine:
         try:
             if data.get("version") != ENGINE_VERSION:
                 raise ValueError("engine version mismatch")
-            if data.get("mode") != ("qp" if self._quasi else "strict"):
-                raise ValueError("mode mismatch")
             if data.get("round_len") != self._round_len:
                 raise ValueError("round length mismatch")
             if data.get("labels") != self._labels_digest():
@@ -505,18 +429,10 @@ class RoundTemplateEngine:
                 key = (_canon(norm), _canon(fp))
                 bank[key] = self._canon_tpl(entry["tpl"])
                 count += 1
-            loaded_strict = None
-            strict_raw = data.get("strict_tpl")
-            if strict_raw is not None and not self._quasi:
-                loaded_strict = self._canon_tpl(strict_raw)
-                if loaded_strict.get("sig") is None:
-                    raise ValueError("strict template without signature")
-                count += 1
         except Exception:
             self.template_load_failures += 1
             return
         self._bank.update(bank)
-        self._loaded_strict = loaded_strict
         self.templates_loaded = count
 
     # ------------------------------------------------------------------
@@ -533,7 +449,7 @@ class RoundTemplateEngine:
         templates remain signature/fingerprint-verified before every
         replay.
         """
-        if not self._active or self._round_len <= 0 or self._blockers():
+        if not self._active or self._round_len <= 0 or self._sources:
             return None
         self._reset()
         sim = self.sim
@@ -549,104 +465,68 @@ class RoundTemplateEngine:
             # would change what it sees relative to model state.
             return None
         self._materialize_bank()
-        # Quasi-periodic recording is continuous: every live round is a
-        # potential template occurrence, so capture stays subscribed for
-        # the whole run (cleared at each boundary) — and must survive
-        # mid-run resets (punctures, registrations), which re-establish
-        # it via ``_ensure_capture``.
-        self._qp_capture_wanted = self._quasi and sim.trace.wants_records
+        # Recording is continuous: every live round is a potential
+        # template occurrence, so capture stays subscribed for the whole
+        # run (cleared at each boundary) — and must survive mid-run
+        # resets (punctures, registrations), which re-establish it via
+        # ``_ensure_capture``.
+        self._capture_wanted = sim.trace.wants_records
         self._ensure_capture()
         self._boundary = (sim._now // self._round_len + 1) * self._round_len
         return self
 
     def on_boundary(self, t: int) -> None:
         """Called by the kernel with the queue drained up to (excluding)
-        ``next_boundary``; advances the recording machinery and/or
-        fast-forwards.  Always either advances the boundary or replays,
-        so kernel progress is guaranteed."""
-        if self._quasi:
-            self._qp_on_boundary(t)
-            return
+        ``next_boundary``: compiles the round that just completed (if it
+        was observed), then replays from the bank or runs the next round
+        live.  Always either advances the boundary or replays, so kernel
+        progress is guaranteed."""
         B = self._boundary
         L = self._round_len
-        state = self._state
-        if state == _ARMED:
-            self._replay(B, t)
-            return
-        if state == _IDLE:
-            if self._loaded_strict is not None:
-                sig = self._signature(B)
-                if sig is not None and sig[0] == self._loaded_strict["sig"]:
-                    # Persisted-template warm start: skip the warm-up and
-                    # the two-round recording entirely.
-                    self._template = self._loaded_strict
-                    self._loaded_strict = None
-                    self._state = _ARMED
-                    self._backoff = 1
-                    self._replay(B, t)
-                    return
-            if self._skip > 0:
-                self._skip -= 1
-                self._boundary = B + L
-                return
-            snap = self._snapshot(B)
-            if snap is None:
-                self._fail()
-            else:
-                self._snap = snap
-                self._capture.clear()
-                self._unsub = self.sim.trace.subscribe(self._capture_listener)
-                self._state = _REC1
-            self._boundary = B + L
-            return
-        # _REC1 / _REC2: one more recorded round just completed
-        snap = self._snapshot(B)
-        records = list(self._capture)
+        scan = self._scan(B)
+        snap: dict | None = None
+        prev = self._prev
+        self._prev = None
+        if prev is not None and scan is not None:
+            key, psnap, entry_B = prev
+            snap = self._snapshot(scan[0])
+            if snap is not None:
+                records = list(self._capture)
+                delta = self._delta(psnap, snap)
+                if delta is not None:
+                    self._compile(key, psnap, delta, records, entry_B)
+                else:
+                    self.failed_recordings += 1
         self._capture.clear()
-        delta = (self._delta(self._snap, snap)
-                 if snap is not None else None)
-        if delta is None:
-            self._abort_capture()
-            self._fail()
+        if scan is None:
             self._boundary = B + L
             return
-        if state == _REC1:
-            self._first_delta = delta
-            self._first_records = records
-            self._snap = snap
-            self._state = _REC2
+        near, far_min = scan
+        key = self._key(B, near)
+        if key is None:
             self._boundary = B + L
             return
-        # _REC2: two consecutive rounds observed — compile and arm
-        self._abort_capture()
-        template = self._compile(self._first_delta, self._first_records,
-                                 delta, records, B)
-        self._snap = None
-        self._first_delta = None
-        self._first_records = None
-        if template is None:
-            self._fail()
+        tpl = self._bank.get(key)
+        if tpl is not None:
+            k = self._replay(tpl, near, far_min, B, t)
+            if k:
+                self.rounds_replayed += k
+                self.replays += 1
+                self._boundary = B + k * L
+                return
+            # No whole-round headroom: run this round live (the
+            # template stays banked for the next occurrence).
             self._boundary = B + L
             return
-        self._template = template
-        self._state = _ARMED
-        self._backoff = 1
-        self.recordings += 1
-        self._dirty = True
-        self._replay(B, t)
+        if snap is None:
+            snap = self._snapshot(near)
+        if snap is not None:
+            self._prev = (key, snap, B)
+        self._boundary = B + L
 
     # ------------------------------------------------------------------
-    # shared observation machinery
+    # observation machinery
     # ------------------------------------------------------------------
-    def _fail(self) -> None:
-        self._state = _IDLE
-        self._snap = None
-        self._first_delta = None
-        self._first_records = None
-        self._skip = self._backoff
-        self._backoff = min(self._backoff * 2, MAX_BACKOFF)
-        self.failed_recordings += 1
-
     def _scan(self, B: int) -> tuple[tuple, int | None] | None:
         """The pending queue's shape at boundary ``B``.
 
@@ -673,31 +553,16 @@ class RoundTemplateEngine:
         near.sort()
         return tuple((tm, pr, label) for tm, pr, _sq, label in near), far_min
 
-    def _signature(self, B: int) -> tuple[tuple, int | None] | None:
-        """Strict-mode view of :meth:`_scan`: boundary-relative offsets."""
-        scan = self._scan(B)
-        if scan is None:
-            return None
-        near, far_min = scan
-        return tuple((tm - B, pr, label) for tm, pr, label in near), far_min
-
-    def _snapshot(self, B: int,
-                  scan: tuple | None = None) -> dict | None:
-        """Full observable-state snapshot at boundary ``B`` (None if the
-        queue shape or sink configuration is not template-compatible)."""
-        if scan is None:
-            scan = self._scan(B)
-            if scan is None:
-                return None
-        near, far_min = scan
+    def _snapshot(self, near: tuple) -> dict | None:
+        """Full observable-state snapshot at a boundary whose in-round
+        queue shape is ``near`` (None if the sink configuration is not
+        template-compatible)."""
         sim = self.sim
         tick_sinks = tuple(sim.trace._tick_sinks)
         for sink in tick_sinks:
             if not isinstance(sink, CounterSink):
                 return None  # unknown tick semantics — cannot bulk-apply
         return {
-            "sig": (tuple((tm - B, pr, label) for tm, pr, label in near),
-                    far_min),
             "near": near,
             "ticks": tick_sinks,
             "tick_counts": [dict(s.counts) for s in tick_sinks],
@@ -710,17 +575,11 @@ class RoundTemplateEngine:
             "parts": [p.rt_state() for p in self._eff_parts],
         }
 
-    def _delta(self, prev: dict | None, cur: dict,
-               require_sig_match: bool = True) -> dict | None:
+    def _delta(self, prev: dict, cur: dict) -> dict | None:
         """Per-round delta between two boundary snapshots, or None if the
-        round is not linearly replayable.  ``require_sig_match`` enforces
-        the strict-mode invariant that the round exits looking exactly
-        like it entered; the quasi-periodic bank keys rounds by entry
-        signature instead."""
-        if prev is None:
-            return None
-        if require_sig_match and prev["sig"][0] != cur["sig"][0]:
-            return None
+        round is not linearly replayable.  The round's exit may look
+        different from its entry: the bank keys rounds by entry
+        signature."""
         pt, ct = prev["ticks"], cur["ticks"]
         if len(pt) != len(ct) or any(a is not b for a, b in zip(pt, ct)):
             return None
@@ -777,35 +636,6 @@ class RoundTemplateEngine:
             "strides": strides,
         }
 
-    # ------------------------------------------------------------------
-    # strict compilation (two identical consecutive rounds)
-    # ------------------------------------------------------------------
-    def _compile(self, d1: dict | None, r1s: list | None,
-                 d2: dict, r2s: list, B2: int) -> dict | None:
-        """Compile two equal consecutive round deltas into a template.
-
-        ``d2``'s round spans ``[B2 - L, B2)``; it becomes the template's
-        base round.  Record prototypes pair off the two rounds' records:
-        equal category/source/detail (with an optional integer stride on
-        :data:`STRIDE_KEYS`) at equal in-round offsets.
-        """
-        if d1 is None or r1s is None:
-            return None
-        if (d1["ticks"] != d2["ticks"] or d1["counters"] != d2["counters"]
-                or d1["hists"] != d2["hists"] or d1["events"] != d2["events"]
-                or d1["parts"] != d2["parts"]):
-            return None
-        if len(r1s) != len(r2s):
-            return None
-        L = self._round_len
-        base = B2 - L
-        protos = self._pair_records(r1s, r2s, base - L, 0, base, 0, 1)
-        if protos is None:
-            return None
-        tpl = self._make_tpl(d2, protos, base, L, ())
-        tpl["sig"] = self._snap["sig"][0] if self._snap else None
-        return tpl
-
     def _pair_records(self, r1s: list, r2s: list, B1: int, phi1: int,
                       B2: int, phi2: int, n: int) -> tuple | None:
         """Pair two occurrences' record lists into prototypes.
@@ -841,7 +671,7 @@ class RoundTemplateEngine:
         return tuple(protos)
 
     # ------------------------------------------------------------------
-    # quasi-periodic bank
+    # template bank
     # ------------------------------------------------------------------
     def _fingerprint(self, B: int) -> tuple | None:
         """Participant fingerprint tuple at boundary ``B`` (None vetoes
@@ -855,7 +685,7 @@ class RoundTemplateEngine:
             fps.append(_canon(v))
         return tuple(fps)
 
-    def _qp_key(self, B: int, near: tuple) -> tuple | None:
+    def _key(self, B: int, near: tuple) -> tuple | None:
         fp = self._fingerprint(B)
         if fp is None:
             return None
@@ -894,51 +724,7 @@ class RoundTemplateEngine:
             strides.append(s - tm)
         return strides
 
-    def _qp_on_boundary(self, t: int) -> None:
-        B = self._boundary
-        L = self._round_len
-        scan = self._scan(B)
-        snap: dict | None = None
-        prev = self._qp_prev
-        self._qp_prev = None
-        if prev is not None and scan is not None:
-            key, psnap, entry_B = prev
-            snap = self._snapshot(B, scan)
-            if snap is not None:
-                records = list(self._capture)
-                delta = self._delta(psnap, snap, require_sig_match=False)
-                if delta is not None:
-                    self._qp_compile(key, psnap, delta, records, entry_B)
-                else:
-                    self.failed_recordings += 1
-        self._capture.clear()
-        if scan is None:
-            self._boundary = B + L
-            return
-        near, far_min = scan
-        key = self._qp_key(B, near)
-        if key is None:
-            self._boundary = B + L
-            return
-        tpl = self._bank.get(key)
-        if tpl is not None:
-            k = self._qp_replay(tpl, near, far_min, B, t)
-            if k:
-                self.rounds_replayed += k
-                self.replays += 1
-                self._boundary = B + k * L
-                return
-            # No whole-round headroom: run this round live (the
-            # template stays banked for the next occurrence).
-            self._boundary = B + L
-            return
-        if snap is None:
-            snap = self._snapshot(B, scan)
-        if snap is not None:
-            self._qp_prev = (key, snap, B)
-        self._boundary = B + L
-
-    def _qp_compile(self, key: tuple, psnap: dict, delta: dict,
+    def _compile(self, key: tuple, psnap: dict, delta: dict,
                     records: list, entry_B: int) -> None:
         """One fully observed round for ``key`` just completed (entry at
         ``entry_B``, exit now): compile it, or pair it with an earlier
@@ -970,7 +756,7 @@ class RoundTemplateEngine:
         if cand is None:
             self._cands[key] = cur
             return
-        tpl = self._qp_pair(cand, cur)
+        tpl = self._pair(cand, cur)
         if tpl is None:
             self._cands[key] = cur  # drift toward the newer occurrence
             self.failed_recordings += 1
@@ -980,7 +766,7 @@ class RoundTemplateEngine:
         self.recordings += 1
         self._dirty = True
 
-    def _qp_pair(self, cand: dict, cur: dict) -> dict | None:
+    def _pair(self, cand: dict, cur: dict) -> dict | None:
         """Pair two occurrences of the same bank key into a template."""
         d1, d2 = cand["delta"], cur["delta"]
         if (d1["ticks"] != d2["ticks"] or d1["counters"] != d2["counters"]
@@ -1010,7 +796,7 @@ class RoundTemplateEngine:
         return self._make_tpl(d2, protos, cur["B"], cur["uniform"],
                               tuple(cur["strides"]))
 
-    def _qp_replay(self, tpl: dict, near: tuple, far_min: int | None,
+    def _replay(self, tpl: dict, near: tuple, far_min: int | None,
                    B: int, t: int) -> int:
         L = self._round_len
         k = (t - B) // L
@@ -1045,32 +831,8 @@ class RoundTemplateEngine:
         return k
 
     # ------------------------------------------------------------------
-    # replay (shared by both modes)
+    # bulk apply
     # ------------------------------------------------------------------
-    def _replay(self, B: int, t: int) -> None:
-        L = self._round_len
-        tpl = self._template
-        sig = self._signature(B)
-        if tpl is None or sig is None or sig[0] != tpl["sig"]:
-            # The queue no longer matches the compiled round — invalidate.
-            self._template = None
-            self._fail()
-            self._boundary = B + L
-            return
-        far_min = sig[1]
-        k = (t - B) // L
-        if far_min is not None:
-            k = min(k, (far_min - B - 1) // L)
-        if k < 1:
-            # Not a whole template-safe round of headroom: run it live
-            # (the template stays armed for the next boundary).
-            self._boundary = B + L
-            return
-        self._apply(tpl, B, 0, k, None)
-        self._boundary = B + k * L
-        self.rounds_replayed += k
-        self.replays += 1
-
     def _prep(self, tpl: dict) -> dict:
         """Preallocate the numpy buffers a template's bulk apply uses
         (cached on the template; never serialized)."""
@@ -1102,7 +864,7 @@ class RoundTemplateEngine:
         return npd
 
     def _apply(self, tpl: dict, B: int, phi: int, k: int,
-               near: tuple | None) -> None:
+               near: tuple) -> None:
         """Apply ``k`` rounds' worth of ``tpl`` starting at ``B`` with
         the observed boundary phase ``phi``."""
         from .kernel import PeriodicTask  # local import: kernel imports us
@@ -1187,7 +949,7 @@ class RoundTemplateEngine:
             queue.shift_span(horizon, shift)
         else:
             pending: dict[tuple[int, int, str], list[int]] = {}
-            for (tm, pr, label), st in zip(near or (), tpl["strides"]):
+            for (tm, pr, label), st in zip(near, tpl["strides"]):
                 pending.setdefault((tm, pr, label), []).append(st * k)
 
             def _retime(tm: int, pr: int, ev: Any) -> int | None:
@@ -1210,9 +972,8 @@ class RoundTemplateEngine:
         """JSON-ready engine statistics (for results and debugging)."""
         return {
             "active": self._active,
-            "mode": "quasi-periodic" if self._quasi else "strict",
             "round_length_ns": self._round_len,
-            "interleaving_sources": sorted(self._blockers()),
+            "interleaving_sources": sorted(self._sources),
             "dynamic_sources": sorted(name for name, _obj in self._dynamics),
             "rounds_replayed": self.rounds_replayed,
             "replays": self.replays,
@@ -1225,9 +986,7 @@ class RoundTemplateEngine:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "qp" if self._quasi else "strict"
         state = ("dormant" if not self._active
-                 else "blocked" if self._blockers()
-                 else ("idle", "rec1", "rec2", "armed")[self._state])
-        return (f"<RoundTemplateEngine {mode}/{state} L={self._round_len} "
+                 else "blocked" if self._sources else "armed")
+        return (f"<RoundTemplateEngine {state} L={self._round_len} "
                 f"replayed={self.rounds_replayed} bank={len(self._bank)}>")

@@ -57,8 +57,7 @@ class SimulatedRuntime(Runtime):
         When the round-template engine is active (scenario runs), the
         drain bound is held at the next round boundary; each time the
         queue is drained up to a boundary the engine gets a chance to
-        record or bulk-replay whole rounds — in strict mode from one
-        compiled template, in quasi-periodic mode from a bank of
+        record or bulk-replay whole rounds from a bank of
         phase-normalized templates that may have been preloaded from
         the persistent store (see :mod:`repro.sim.round_template`).  A
         dormant or disengaged engine leaves this loop byte-for-byte

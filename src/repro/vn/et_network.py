@@ -59,10 +59,9 @@ class ETVirtualNetwork(VirtualNetworkBase):
         self._m_sends = m.counter("vn.et.sends")
         self._m_drops = m.counter("vn.et.send_drops")
         self._m_depth = m.histogram("vn.et.queue_depth")
-        # ET sends are demand-driven: a blocking interleaving source in
-        # strict round-template mode, a fingerprinted dynamic
-        # participant in quasi-periodic mode (steady-state periodic
-        # senders repeat at the hyperperiod; queued chunks veto).
+        # ET sends are demand-driven: a fingerprinted dynamic
+        # round-template participant (steady-state periodic senders
+        # repeat at the hyperperiod; queued chunks veto).
         sim.round_template.register_dynamic(f"etvn.{das}", self)
 
     # ------------------------------------------------------------------
@@ -170,7 +169,7 @@ class ETVirtualNetwork(VirtualNetworkBase):
         return out
 
     # ------------------------------------------------------------------
-    # round-template participant protocol (quasi-periodic mode)
+    # round-template participant protocol
     # ------------------------------------------------------------------
     def rt_state(self) -> dict[str, int]:
         return {

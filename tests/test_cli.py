@@ -121,6 +121,23 @@ def test_ledger_show_verify_and_trends_cycle(tmp_path, capsys):
     assert "digest-stable across all recorded configurations: yes" in out
 
 
+def test_ledger_show_prints_rounds_replayed(tmp_path, capsys):
+    """Each entry line reports the recorded run's replayed-round count
+    (tdma-smoke is a pure-TT scenario, so the count is non-zero)."""
+    import json
+
+    cache = tmp_path / "cache"
+    assert main(["sweep", "--filter", "tdma-smoke", "--workers", "1",
+                 "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    entry = json.loads((cache / "ledger.ndjsonl").read_text())
+    replayed = entry["round_template"]["rounds_replayed"]
+    assert replayed > 0
+    assert main(["ledger", "show", "--cache-dir", str(cache)]) == 0
+    out = capsys.readouterr().out
+    assert f" replayed={replayed}" in out
+
+
 def test_ledger_verify_fails_on_tampered_digest(tmp_path, capsys):
     import json
 

@@ -77,23 +77,21 @@ def _run_registry(name: str) -> dict:
     return sim.round_template.stats()
 
 
-def test_quasi_periodic_arms_but_unported_jobs_veto() -> None:
-    """In quasi-periodic mode ET virtual networks and gateways are
-    dynamic participants, not permanent blockers — the gateway pipeline
-    arms.  Its jobs never declare a replayable fingerprint, though, so
-    every boundary is vetoed and every round still runs live."""
+def test_gateway_pipeline_arms_but_unported_jobs_veto() -> None:
+    """ET virtual networks and gateways are dynamic participants, not
+    permanent blockers — the gateway pipeline arms.  Its jobs never
+    declare a replayable fingerprint, though, so every boundary is
+    vetoed and every round still runs live."""
     stats = _run_registry("gw-pipeline-smoke")
     assert stats["active"]
-    assert stats["mode"] == "quasi-periodic"
     assert stats["interleaving_sources"] == []
     assert stats["replays"] == 0
 
 
-def test_quasi_periodic_flips_car_from_ineligible_to_armed() -> None:
-    """The integrated car carries the same ET/gateway machinery that
-    blocks the strict mode, but its jobs and environment all fingerprint
-    their behavioural state: steady-state detection arms and bulk-replays
-    most of the drive."""
+def test_car_scenario_arms_and_replays() -> None:
+    """The integrated car carries ET/gateway machinery, but its jobs and
+    environment all fingerprint their behavioural state: steady-state
+    detection arms and bulk-replays most of the drive."""
     stats = _run_registry("car-smoke")
     assert stats["active"]
     assert stats["recordings"] >= 1
@@ -161,7 +159,7 @@ def test_fault_injector_punctures_template() -> None:
 
 
 # ----------------------------------------------------------------------
-# quasi-periodic mode: drifting clocks
+# drifting clocks
 # ----------------------------------------------------------------------
 def _drifting_cluster(fast: bool):
     """A TT cluster with one imperfect clock."""
@@ -170,7 +168,7 @@ def _drifting_cluster(fast: bool):
 
     sim = Simulator(seed=11, trace=make_trace("full"))
     if fast:
-        sim.round_template.activate(quasi_periodic=True)
+        sim.round_template.activate()
     builder = ClusterBuilder(sim)
     builder.add_node(NodeConfig("n0", slot_capacity_bytes=32,
                                 reservations={"v": 20}))
@@ -185,12 +183,11 @@ def _drifting_cluster(fast: bool):
 
 
 def test_drifting_clock_cluster_stays_armed_but_runs_live() -> None:
-    """A drifting controller blocks the strict mode outright; the
-    quasi-periodic mode stays armed but the imperfect clock vetoes every
-    boundary (its slot phase never recurs exactly: a 120 ppm rate is
-    25003/25000, so slot-event ns-rounding phases repeat only every
-    25000 cycles), so the cluster runs fully live — and must remain
-    byte-identical to the engine-off run."""
+    """With a drifting controller the engine stays armed, but the
+    imperfect clock vetoes every boundary (its slot phase never recurs
+    exactly: a 120 ppm rate is 25003/25000, so slot-event ns-rounding
+    phases repeat only every 25000 cycles), so the cluster runs fully
+    live — and must remain byte-identical to the engine-off run."""
     from repro.runner.executor import trace_digest
 
     horizon = 1_000_000_000
@@ -210,9 +207,33 @@ def test_drifting_clock_cluster_stays_armed_but_runs_live() -> None:
         if fast:
             stats = sim.round_template.stats()
             assert stats["active"]
-            assert stats["mode"] == "quasi-periodic"
             assert stats["replays"] == 0
             assert stats["recordings"] == 0
+    assert results[True] == results[False]
+
+
+def test_build_car_replays_with_identical_trace() -> None:
+    """``build_car`` arms the engine by default, outside the scenario
+    registry too: a directly built car replays rounds, and its trace
+    digest, event count, and metrics match the engine-off run."""
+    from repro.apps import CarConfig, build_car
+    from repro.runner.executor import trace_digest
+    from repro.sim import SEC
+
+    results = {}
+    for fast in (True, False):
+        car = build_car(CarConfig(round_template=fast))
+        try:
+            car.run_for(2 * SEC)
+        finally:
+            car.sim.trace.close()
+        results[fast] = {
+            "digest": trace_digest(car.sim),
+            "events": car.sim.events_executed,
+            "metrics": car.sim.metrics.snapshot(),
+        }
+        if fast:
+            assert car.sim.round_template.stats()["rounds_replayed"] > 0
     assert results[True] == results[False]
 
 
@@ -272,17 +293,24 @@ def test_fault_punctures_persisted_bank_mid_run() -> None:
     assert warm == slow
 
 
+#: Bank fields that only the two-mode (version 2) format carried.
+_V2_ONLY_FIELDS = {"mode": "qp", "strict_tpl": None}
+
+
 def test_stale_or_corrupt_bank_falls_back_to_live_compile() -> None:
-    """A bank from another engine version, another registration, or a
-    corrupted file must be rejected at validation — counted, never
-    trusted — and the run must land byte-identical anyway."""
+    """A bank from another engine version (including the two-mode v2
+    format), another registration, or a corrupted file must be rejected
+    at validation — counted, never trusted — and the run must land
+    byte-identical anyway."""
     cold_sim, cold = _run_engine("tdma-smoke")
     bank = cold_sim.round_template.dump_bank()
     assert bank is not None
+    assert not bank.keys() & _V2_ONLY_FIELDS.keys()
     stale = dict(bank, version=bank["version"] + 1)
+    v2_format = dict(bank, version=2, **_V2_ONLY_FIELDS)
     mismatched = dict(bank, labels="0" * 16)
     garbled = dict(bank, templates=[{"oops": 1}])
-    for bad in (stale, mismatched, garbled, "not a bank"):
+    for bad in (stale, v2_format, mismatched, garbled, "not a bank"):
         sim, observable = _run_engine("tdma-smoke", bank=bad)
         stats = sim.round_template.stats()
         assert stats["templates_loaded"] == 0

@@ -35,7 +35,7 @@ THRESHOLDS: tuple[tuple[str, tuple[str, ...], float, str], ...] = (
     ("kernel", ("batched_speedup",), 1.2, "min"),
     ("round_template", ("tdma_cluster", "speedup"), 3.0, "min"),
     ("round_template", ("tt_vn_pipeline", "speedup"), 3.0, "min"),
-    # Quasi-periodic mode on the mixed TT/ET car scenario: live-event
+    # Round-template replay on the mixed TT/ET car scenario: live-event
     # punctuation bounds these structurally (see the v2 bench docstring),
     # so the floors are the measured reality, not a target.
     ("round_template_v2", ("cold_speedup",), 1.3, "min"),
