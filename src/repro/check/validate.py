@@ -12,12 +12,11 @@ compares every FlowTracer-observed quantity against its bound:
   ``gw.stored`` to child's construction origin) vs. the gateway's
   static residence bound.
 
-A measurement above its bound is a **violation** — the CI flow-bounds
-job fails on any.  Alongside soundness the harness reports *tightness*
-(bound / observed, 1.0 = exact): sound bounds are easy if vacuous, so
-``BENCH_substrate.json``'s ``flow_bounds`` section records the minimum
-tightness ratio, and a hard threshold floor (no violations, minimum
-tightness >= 1.0) keeps the recorded bounds sound.
+A measurement above its bound is a **violation** — ``repro check
+bounds`` exits 1 on any, which fails the CI flow-bounds job.  Alongside
+soundness the harness reports *tightness* (bound / observed, 1.0 =
+exact): sound bounds are easy if vacuous, so the summary carries the
+minimum tightness ratio; a violation is exactly a ratio below 1.0.
 
 Flow tracing disables round-template fast-forward (the template engine
 refuses bulk replay while ``sim.flows.enabled``), so every round runs

@@ -11,7 +11,7 @@ and result cache answer "what is the current result", the ledger answers
 The audit half (:mod:`repro.ledger.audit`) re-executes recorded entries
 and byte-compares the golden digest and (comparable) metrics against the
 record, attributing any drift to the code-digest delta between then and
-now.  Exposed on the CLI as ``repro ledger show|trends|verify|bench``.
+now.  Exposed on the CLI as ``repro ledger show|trends|verify``.
 """
 
 from .audit import (

@@ -15,7 +15,7 @@ from .aggregate import (
 )
 from .cache import ResultCache, TemplateStore, code_digest, result_key, template_key
 from .executor import LEDGER_FILENAME, SweepRunner, run_scenario, trace_digest
-from .report import provenance, sweep_table, update_bench_json
+from .report import sweep_table
 from .scenarios import (
     BUILDERS,
     ScenarioSpec,
@@ -43,11 +43,9 @@ __all__ = [
     "default_registry",
     "derive_seed",
     "filter_scenarios",
-    "provenance",
     "result_key",
     "run_scenario",
     "template_key",
     "sweep_table",
     "trace_digest",
-    "update_bench_json",
 ]

@@ -270,28 +270,6 @@ class _DirCache:
                        if p.name != "_meta.json"),
                       key=lambda p: (p.stat().st_mtime, p.name))
 
-    def evict_to_cap(self, keep: Path | None = None) -> int:
-        """Evict oldest entries until the directory fits ``max_bytes``;
-        returns how many files were removed.  ``keep`` (the entry just
-        written) is never evicted, even if it alone exceeds the cap."""
-        if self.max_bytes is None or self.max_bytes <= 0:
-            return 0
-        entries = [(p, p.stat().st_size) for p in self.entries()]
-        total = sum(size for _, size in entries)
-        removed = 0
-        for path, size in entries:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and path == keep:
-                continue
-            path.unlink(missing_ok=True)
-            total -= size
-            removed += 1
-        self._count_evictions(removed)
-        if removed:
-            self._drop_index()
-        return removed
-
     def stats(self) -> dict:
         """JSON-ready summary of the cache directory."""
         entries = self.entries()

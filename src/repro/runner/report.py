@@ -1,60 +1,8 @@
-"""Sweep reporting: tables, JSON, provenance, and BENCH file updates.
-
-``BENCH_substrate.json`` is a long-lived perf trajectory, so every
-section carries provenance (interpreter, platform, CPU count, iteration
-counts, and a caller-supplied timestamp) — numbers from different
-machines stay comparable.  The file is section-merged, never
-overwritten wholesale: the kernel microbenchmark, the gateway trace
-benchmark, and the sweep engine each own one top-level key.
-"""
+"""Sweep reporting: the human-readable table of a sweep report."""
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
-from pathlib import Path
-
-__all__ = ["provenance", "sweep_table", "update_bench_json"]
-
-
-def provenance(timestamp: str, iterations: int | None = None) -> dict:
-    """Measurement provenance for a BENCH section.
-
-    ``timestamp`` is passed in by the harness (never read inside the
-    simulation — the model has no wall clock), typically an ISO-8601
-    UTC string captured right before the measurement.
-    """
-    info = {
-        "python_version": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "timestamp": timestamp,
-    }
-    if iterations is not None:
-        info["iterations"] = iterations
-    return info
-
-
-def update_bench_json(path: str | Path, section: str, payload: dict) -> dict:
-    """Merge ``payload`` under ``section`` in the BENCH file.
-
-    Reads whatever is there, replaces just the one section, and writes
-    the result back sorted — concurrent benchmarks touching different
-    sections cannot clobber each other's numbers.
-    """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict):
-            data = {}
-    except (OSError, ValueError):
-        data = {}
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return data
+__all__ = ["sweep_table"]
 
 
 def sweep_table(report: dict):

@@ -129,16 +129,41 @@ class TestCheckCli:
         err = capsys.readouterr().err
         assert "unknown rule" in err and "BOGUS" in err
 
-    def test_bounds_subcommand_is_sound(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH.json"
+    def test_bounds_subcommand_is_sound(self, capsys):
         assert cli_main(["check", "bounds", "car-smoke",
-                         "--bench-out", str(bench)]) == 0
+                         "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert "SOUND" in out
-        section = json.loads(bench.read_text())["flow_bounds"]
-        assert section["violations"] == 0
-        assert section["compared"] > 0
-        assert section["min_tightness"] >= 1.0
+        summary = json.loads(out[out.index("\n{") + 1:])
+        assert summary["violations"] == 0
+        assert summary["compared"] > 0
+        assert summary["min_tightness"] >= 1.0
+
+    def test_bounds_subcommand_fails_on_unsound_bounds(self, monkeypatch,
+                                                       capsys):
+        # A violation (observed > bound) is exactly tightness < 1.0, so
+        # quartering every finite bound must trip the exit code.
+        from repro.check import validate
+
+        real = validate._static_bounds
+
+        def quartered(graph):
+            e2e, residence = real(graph)
+            return ({k: b // 4 for k, b in e2e.items()},
+                    {k: None if b is None else b // 4
+                     for k, b in residence.items()})
+
+        monkeypatch.setattr(validate, "_static_bounds", quartered)
+        assert cli_main(["check", "bounds", "car-smoke"]) == 1
+        out = capsys.readouterr().out
+        assert "VIOLATION" in out
+        assert "UNSOUND" in out
+
+    def test_bounds_filter_matching_nothing_exits_2(self, capsys):
+        assert cli_main(["check", "bounds", "no-such-scenario"]) == 2
+        captured = capsys.readouterr()
+        assert "no scenarios match filter" in captured.err
+        assert "SOUND" not in captured.out
 
     def test_self_lint_is_clean(self, capsys):
         assert cli_main(["check", "--self"]) == 0

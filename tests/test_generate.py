@@ -174,13 +174,21 @@ def test_generated_run_digest_is_deterministic():
 
 
 def test_generated_campaign_digests_stable_across_runners(tmp_path):
+    """Bare runs (no cache, no ledger), cold sweeps with two chunk sizes
+    and a fully warm re-sweep all yield the same digests."""
     specs, _ = admit(generate_candidates(8, "small"))
-    r1 = SweepRunner(workers=1, cache_dir=str(tmp_path / "a")).run(specs)
+    bare = [run_scenario(spec, ledger_path=None) for spec in specs]
+    runner = SweepRunner(workers=1, cache_dir=str(tmp_path / "a"))
+    r1 = runner.run(specs)
     r2 = SweepRunner(workers=1, cache_dir=str(tmp_path / "b"),
                      chunk_size=1).run(specs)
-    assert not r1["errors"] and not r2["errors"]
-    assert ([r["digest"] for r in r1["scenarios"]]
-            == [r["digest"] for r in r2["scenarios"]])
+    warm = runner.run(specs)
+    assert not r1["errors"] and not r2["errors"] and not warm["errors"]
+    assert warm["cache_hits"] == len(specs)
+    assert all(r["cached"] for r in warm["scenarios"])
+    digests = [r["digest"] for r in bare]
+    for report in (r1, r2, warm):
+        assert [r["digest"] for r in report["scenarios"]] == digests
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,9 @@ def test_fast_forward_parity(name: str) -> None:
 @pytest.mark.parametrize("name", REPLAYING)
 def test_fast_forward_actually_engages(name: str) -> None:
     """On pure-TT scenarios the engine must compile a template and
-    replay rounds — parity alone could pass with the engine dormant."""
+    replay rounds — parity alone could pass with the engine dormant.
+    Replayed rounds must cover at least 99% of the horizon: a
+    deterministic floor on how much work fast-forward skips."""
     spec = REGISTRY[name]
     sim = build_scenario(spec)
     try:
@@ -65,6 +67,8 @@ def test_fast_forward_actually_engages(name: str) -> None:
     assert stats["recordings"] >= 1
     assert stats["replays"] >= 1
     assert stats["rounds_replayed"] > 100
+    covered = stats["rounds_replayed"] * stats["round_length_ns"]
+    assert covered >= 0.99 * spec.horizon_ns
 
 
 def _run_registry(name: str) -> dict:

@@ -25,7 +25,6 @@ from repro.runner import (
     result_key,
     run_scenario,
     sweep_table,
-    update_bench_json,
 )
 from repro.sim import MS
 
@@ -284,13 +283,3 @@ def test_sweep_table_renders_results_and_errors(tmp_path, capsys):
     sweep_table(report).print()
     out = capsys.readouterr().out
     assert "tiny-gw" in out and "ERROR" in out
-
-
-def test_update_bench_json_merges_sections(tmp_path):
-    path = tmp_path / "BENCH.json"
-    update_bench_json(path, "kernel", {"x": 1})
-    data = update_bench_json(path, "sweep", {"y": 2})
-    assert data == {"kernel": {"x": 1}, "sweep": {"y": 2}}
-    assert json.loads(path.read_text()) == data
-    path.write_text("garbage")
-    assert update_bench_json(path, "k", {"z": 3}) == {"k": {"z": 3}}
