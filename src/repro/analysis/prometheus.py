@@ -14,9 +14,9 @@ Maps the simulator's instruments onto the Prometheus exposition format
 Output is deterministic: instruments are emitted sorted by name and
 buckets ascending, so two identical registries expose byte-identical
 text.  This is file-oriented (``write_prometheus`` — point a node
-exporter textfile collector at it, or diff snapshots); the paced and
-asyncio runtimes can regenerate the file on whatever cadence a scraper
-needs when serving live traffic.
+exporter textfile collector at it, or diff snapshots); under the
+wall-clock asyncio runtime a partition can regenerate the file on
+whatever cadence a scraper needs when serving live traffic.
 """
 
 from __future__ import annotations

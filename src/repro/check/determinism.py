@@ -62,14 +62,13 @@ SEEDED_RANDOM_PACKAGES = ("generate",)
 DEFAULT_LINT_FILES = ("runner/telemetry.py",)
 
 #: Files allowed to touch the forbidden APIs (relative suffix match).
-#: The paced/asyncio runtimes exist to gate virtual time against the
-#: wall clock — their ``perf_counter_ns`` reads are the feature, not a
-#: determinism leak (virtual-time behaviour stays identical; see
-#: :mod:`repro.sim.runtime`).
+#: The wall-clock runtime (the asyncio bridge) exists to gate virtual
+#: time against the wall clock — its ``perf_counter_ns`` reads are the
+#: feature, not a determinism leak (virtual-time behaviour stays
+#: identical; see :mod:`repro.sim.runtime`).
 SANCTIONED_FILES = (
     "sim/random.py",
     "sim/clock.py",
-    "sim/runtime/paced.py",
     "sim/runtime/asyncio_bridge.py",
 )
 

@@ -17,12 +17,19 @@ import argparse
 import os
 import sys
 
-from .sim import MS, RUNTIME_NAMES, SEC
+from .sim import MS, SEC
+
+
+def _pace(text: str) -> float:
+    """argparse type for ``--pace``: a positive simulated-to-wall ratio."""
+    pace = float(text)
+    if not pace > 0:
+        raise argparse.ArgumentTypeError(f"pace must be positive, got {text}")
+    return pace
 
 
 def _cmd_car(args: argparse.Namespace) -> int:
     from .apps import CarConfig, build_car
-    from .errors import ConfigurationError
 
     if args.trace_mode == "stream" and not args.trace_file:
         print("error: --trace-mode stream requires --trace-file",
@@ -33,14 +40,10 @@ def _cmd_car(args: argparse.Namespace) -> int:
                               flow_tracing=args.flow_tracing,
                               profile=args.profile,
                               round_template=args.round_template))
-    if args.runtime != "sim" or args.pace is not None:
-        from .sim import make_runtime
+    if args.pace is not None:
+        from .sim import AsyncioBridgedRuntime
 
-        try:
-            car.sim.set_runtime(make_runtime(args.runtime, pace=args.pace))
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        car.sim.set_runtime(AsyncioBridgedRuntime(pace=args.pace))
     horizon = int(args.seconds * SEC)
     # The trace is a context manager: stream / flight-recorder sinks are
     # flushed and closed on every exit path, exceptions included.
@@ -64,16 +67,12 @@ def _cmd_car(args: argparse.Namespace) -> int:
         if counts:
             total = sum(counts.values())
             print(f"  trace: {total:,} records in {len(counts)} categories")
-        if args.runtime != "sim":
+        if args.pace is not None:
             stats = car.sim.runtime.stats()
-            line = f"  runtime {stats['name']}"
-            if stats.get("pace") is not None:
-                line += f" (pace {stats['pace']:g}x)"
-            if "deadline_misses" in stats:
-                line += (f": deadline misses={stats['deadline_misses']} "
-                         f"max lag={stats['max_lag_ns'] / MS:.2f}ms "
-                         f"slept={stats['slept_ns'] / SEC:.2f}s")
-            print(line)
+            print(f"  runtime {stats['name']} (pace {stats['pace']:g}x): "
+                  f"deadline misses={stats['deadline_misses']} "
+                  f"max lag={stats['max_lag_ns'] / MS:.2f}ms "
+                  f"slept={stats['slept_ns'] / SEC:.2f}s")
         if args.flow_tracing and trace.memory is not None:
             from .analysis import FlowSet
 
@@ -189,16 +188,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if not args.round_template:
         specs = [spec.with_param("round_template", False) for spec in specs]
-    if args.pace is not None and args.runtime == "sim":
-        print("error: --pace requires --runtime realtime or asyncio",
-              file=sys.stderr)
-        return 2
-    if args.runtime != "sim":
+    if args.pace is not None:
         # Recorded in the spec params, so cache keys (and worker-side
         # construction) carry the runtime choice.
-        specs = [spec.with_param("runtime", args.runtime) for spec in specs]
-        if args.pace is not None:
-            specs = [spec.with_param("pace", args.pace) for spec in specs]
+        specs = [spec.with_param("pace", args.pace) for spec in specs]
 
     monitor = None
     if args.progress or args.events:
@@ -773,14 +766,10 @@ def main(argv: list[str] | None = None) -> int:
                        action="store_false",
                        help="disable round-template fast-forward (exact "
                             "event-by-event execution)")
-    p_car.add_argument("--runtime", choices=RUNTIME_NAMES, default="sim",
-                       help="execution runtime: sim (fast as possible), "
-                            "realtime (paced against the wall clock), or "
-                            "asyncio (event-loop bridged)")
-    p_car.add_argument("--pace", type=float, default=None,
-                       help="simulated-to-wall time ratio for realtime/"
-                            "asyncio (e.g. 100 = 100x faster than real "
-                            "time; realtime default: 1.0)")
+    p_car.add_argument("--pace", type=_pace, default=None,
+                       help="run against the wall clock at this simulated-"
+                            "to-wall time ratio (e.g. 100 = 100x faster "
+                            "than real time; default: unpaced simulation)")
     p_car.set_defaults(func=_cmd_car)
 
     p_roof = sub.add_parser("roof", help="Fig. 6 sliding-roof XML demo")
@@ -819,12 +808,9 @@ def main(argv: list[str] | None = None) -> int:
                          action="store_false",
                          help="run every scenario without round-template "
                               "fast-forward (exact event-by-event execution)")
-    p_sweep.add_argument("--runtime", choices=RUNTIME_NAMES, default="sim",
-                         help="execution runtime for every selected scenario "
-                              "(default: sim)")
-    p_sweep.add_argument("--pace", type=float, default=None,
-                         help="simulated-to-wall time ratio for "
-                              "--runtime realtime/asyncio")
+    p_sweep.add_argument("--pace", type=_pace, default=None,
+                         help="run every selected scenario against the wall "
+                              "clock at this simulated-to-wall time ratio")
     p_sweep.add_argument("--progress", action="store_true",
                          help="render a live one-line fleet status to "
                               "stderr while the sweep runs")

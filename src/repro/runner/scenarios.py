@@ -356,9 +356,10 @@ def build_scenario(spec: ScenarioSpec) -> Simulator:
     by default so the golden digests of untagged scenarios are
     untouched), ``profile`` (wall-clock handler attribution — never use
     it in a digest-compared scenario, wall time is nondeterministic),
-    and ``runtime``/``pace`` (execution runtime by CLI name, see
-    :mod:`repro.sim.runtime`; the default ``"sim"`` leaves the builder's
-    zero-cost simulated runtime in place so digests are untouched).
+    and ``pace`` (run on the wall-clock
+    :class:`~repro.sim.runtime.AsyncioBridgedRuntime` paced at that
+    ratio; unset leaves the builder's zero-cost simulated runtime in
+    place, and digests are identical either way).
     """
     try:
         builder = BUILDERS[spec.builder]
@@ -368,11 +369,11 @@ def build_scenario(spec: ScenarioSpec) -> Simulator:
             f"(known: {sorted(BUILDERS)})"
         ) from None
     sim = builder(spec)
-    runtime_name = spec.param("runtime", "sim")
-    if runtime_name != "sim":
-        from ..sim import make_runtime
+    pace = spec.param("pace")
+    if pace is not None:
+        from ..sim import AsyncioBridgedRuntime
 
-        sim.set_runtime(make_runtime(runtime_name, pace=spec.param("pace")))
+        sim.set_runtime(AsyncioBridgedRuntime(pace=pace))
     if spec.param("flow_tracing"):
         sim.flows.enable()
     if spec.param("profile"):

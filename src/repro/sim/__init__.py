@@ -14,15 +14,7 @@ from .metrics import Counter, Histogram, Metrics
 from .process import Process
 from .random import RandomStreams
 from .round_template import RoundTemplateEngine
-from .runtime import (
-    RUNTIME_NAMES,
-    AsyncioBridgedRuntime,
-    AsyncPort,
-    PacedRealTimeRuntime,
-    Runtime,
-    SimulatedRuntime,
-    make_runtime,
-)
+from .runtime import AsyncioBridgedRuntime, AsyncPort, Runtime, SimulatedRuntime
 from .time import (
     MS,
     NEVER,
@@ -64,11 +56,8 @@ __all__ = [
     "RoundTemplateEngine",
     "Runtime",
     "SimulatedRuntime",
-    "PacedRealTimeRuntime",
     "AsyncioBridgedRuntime",
     "AsyncPort",
-    "RUNTIME_NAMES",
-    "make_runtime",
     "LocalClock",
     "RandomStreams",
     "Counter",

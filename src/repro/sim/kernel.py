@@ -18,7 +18,7 @@ Design notes
   *inside the model*.  How virtual time relates to wall time is the
   business of the bound :class:`~repro.sim.runtime.Runtime` — the
   default :class:`~repro.sim.runtime.SimulatedRuntime` runs as fast as
-  the host allows, while the paced and asyncio runtimes gate dispatch
+  the host allows, while the wall-clock asyncio runtime gates dispatch
   against an external clock without changing virtual-time behaviour.
 * **Stop conditions.**  ``run_until(t)`` executes every event with
   ``time <= t`` and then sets ``now = t``; ``run()`` drains the queue or
@@ -329,8 +329,8 @@ class Simulator:
 
         Delegates the dispatch loop to the bound runtime (the default
         :class:`~repro.sim.runtime.SimulatedRuntime` runs at maximum
-        speed; see :mod:`repro.sim.runtime` for the paced and asyncio
-        variants).
+        speed; see :mod:`repro.sim.runtime` for the wall-clock asyncio
+        runtime, which refuses open-ended runs).
         """
         self._runtime.run(max_events)
 

@@ -455,8 +455,8 @@ class RoundTemplateEngine:
         sim = self.sim
         if not sim._runtime.supports_round_templates:
             # Bulk round replay is only sound when nothing outside the
-            # event queue observes intermediate instants; paced/asyncio
-            # runtimes gate every event against an external clock.
+            # event queue observes intermediate instants; the asyncio
+            # runtime hands every event to an external event loop.
             return None
         if sim.flows.enabled or sim._profiling:
             return None

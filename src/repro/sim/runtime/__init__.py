@@ -1,58 +1,27 @@
 """Pluggable execution runtimes for the simulation kernel.
 
-One deterministic kernel, three notions of time:
+One deterministic kernel, two notions of time:
 
-================  ==========================================  ===========
-``--runtime``     class                                       wall clock
-================  ==========================================  ===========
-``sim``           :class:`SimulatedRuntime` (default)         none
-``realtime``      :class:`PacedRealTimeRuntime`               paced
-``asyncio``       :class:`AsyncioBridgedRuntime`              event loop
-================  ==========================================  ===========
+==========================================  ================================
+class                                       wall clock
+==========================================  ================================
+:class:`SimulatedRuntime` (default)         none: as fast as the host allows
+:class:`AsyncioBridgedRuntime`              asyncio event loop, optionally
+                                            paced (CLI ``--pace R``)
+==========================================  ================================
 
 See :mod:`repro.sim.runtime.base` for the interface contract.
 """
 
 from __future__ import annotations
 
-from ...errors import ConfigurationError
 from .asyncio_bridge import AsyncioBridgedRuntime, AsyncPort
 from .base import Runtime
-from .paced import PacedRealTimeRuntime
 from .simulated import SimulatedRuntime
 
 __all__ = [
     "Runtime",
     "SimulatedRuntime",
-    "PacedRealTimeRuntime",
     "AsyncioBridgedRuntime",
     "AsyncPort",
-    "RUNTIME_NAMES",
-    "make_runtime",
 ]
-
-#: CLI-facing runtime names, in presentation order.
-RUNTIME_NAMES = ("sim", "realtime", "asyncio")
-
-
-def make_runtime(name: str, pace: float | None = None, **kw) -> Runtime:
-    """Build a runtime from its CLI name.
-
-    ``pace`` is sim-ns per wall-ns (``realtime``/``asyncio`` only;
-    ``realtime`` defaults to 1.0, ``asyncio`` to unpaced).  Extra
-    keyword arguments are forwarded to the runtime constructor.
-    """
-    if name == "sim":
-        if pace is not None:
-            raise ConfigurationError(
-                "the simulated runtime is unpaced: --pace requires "
-                "--runtime realtime or asyncio"
-            )
-        return SimulatedRuntime(**kw)
-    if name == "realtime":
-        return PacedRealTimeRuntime(pace=1.0 if pace is None else pace, **kw)
-    if name == "asyncio":
-        return AsyncioBridgedRuntime(pace=pace, **kw)
-    raise ConfigurationError(
-        f"unknown runtime {name!r} (choose from {RUNTIME_NAMES})"
-    )

@@ -1,9 +1,9 @@
-"""Asyncio-bridged runtime: coroutines and subprocesses as partitions.
+"""Asyncio-bridged runtime: the wall-clock runtime; coroutines as partitions.
 
 The simulated DECOS network stays fully deterministic in virtual time,
 but the dispatch loop is driven *from inside an asyncio event loop*:
-after every simulated event (configurable via ``yield_every``) control
-is yielded to asyncio, so ordinary coroutines — or coroutines wrapping
+before every simulated event control is handed to asyncio exactly once,
+so ordinary coroutines — or coroutines wrapping
 ``asyncio.create_subprocess_exec`` pipes — can run interleaved with the
 simulation and act as software-in-the-loop partitions.
 
@@ -19,12 +19,20 @@ Partition coroutines talk to the simulated network through
 * ``await runtime.sleep(d)`` suspends the coroutine for ``d`` virtual
   nanoseconds (scheduled on the simulator, not the wall clock).
 
-When ``pace`` is set the loop additionally gates virtual time against
-the wall clock exactly like the paced runtime (``pace`` = sim-ns per
-wall-ns); unpaced, the simulation runs as fast as the asyncio loop
-allows while still yielding between events.  When the event queue goes
-empty but the horizon has not been reached (partitions may still be
-computing), virtual time advances in ``idle_quantum_ns`` hops so
+Pacing and deadline accounting
+------------------------------
+With ``pace`` set (sim-ns per wall-ns: ``1.0`` is real time, ``100.0``
+advances 100 simulated seconds per wall second) the hand-over before an
+event at virtual instant ``T`` sleeps until the wall clock reaches
+``anchor + (T - anchor_sim) / pace``.  Lateness beyond
+:data:`MISS_TOLERANCE_NS` is a **deadline miss**, counted in the
+``runtime.deadline_misses`` metric with the observed lag in the
+``runtime.lag_ns`` histogram; the anchor then moves to the miss, so the
+whole schedule slips and one long stall counts once (cadence matters,
+absolute wall alignment does not).  Unpaced, the hand-over is a bare
+yield and the simulation runs as fast as the loop allows.  When the
+event queue has nothing before the horizon (partitions may still be
+computing), virtual time advances in :data:`IDLE_QUANTUM_NS` hops so
 virtual-time sleeps and timeouts keep their meaning.
 
 Cancellation (``asyncio.CancelledError`` or KeyboardInterrupt) mid-run
@@ -33,7 +41,9 @@ CLI exit-path guarantee, and is counted in ``runtime.cancelled_runs``.
 
 This module is sanctioned for wall-clock access in the determinism lint
 (see :data:`repro.check.determinism.SANCTIONED_FILES`): bridging to a
-wall-clock event loop is its entire purpose.
+wall-clock event loop is its entire purpose.  Virtual-time behaviour
+stays deterministic; only the ``runtime.*`` metrics are
+wall-clock-tainted.
 """
 
 from __future__ import annotations
@@ -48,7 +58,10 @@ __all__ = ["AsyncioBridgedRuntime", "AsyncPort"]
 
 #: Virtual-time hop used while the event queue is empty (1 ms): keeps
 #: virtual time moving so partition-side timeouts stay meaningful.
-DEFAULT_IDLE_QUANTUM_NS = 1_000_000
+IDLE_QUANTUM_NS = 1_000_000
+
+#: Lateness below this threshold is scheduling noise, not a miss (1 ms).
+MISS_TOLERANCE_NS = 1_000_000
 
 
 class AsyncPort:
@@ -96,34 +109,30 @@ class AsyncioBridgedRuntime(Runtime):
     name = "asyncio"
     supports_round_templates = False
 
-    def __init__(self, pace: float | None = None,
-                 idle_quantum_ns: int = DEFAULT_IDLE_QUANTUM_NS,
-                 yield_every: int = 1) -> None:
+    def __init__(self, pace: float | None = None) -> None:
         if pace is not None and pace <= 0:
             raise ConfigurationError(f"pace must be positive, got {pace}")
-        if idle_quantum_ns <= 0:
-            raise ConfigurationError(
-                f"idle quantum must be positive, got {idle_quantum_ns}"
-            )
-        if yield_every < 1:
-            raise ConfigurationError(
-                f"yield_every must be >= 1, got {yield_every}"
-            )
         super().__init__()
         self.pace = pace
-        self.idle_quantum_ns = idle_quantum_ns
-        self.yield_every = yield_every
         self._partitions: list = []
         self._ports: list[AsyncPort] = []
         self._partition_error: BaseException | None = None
+        self._anchor_wall = 0
+        self._anchor_sim = 0
         # statistics ----------------------------------------------------
         self.yields = 0
         self.idle_hops = 0
+        self.deadline_misses = 0
+        self.max_lag_ns = 0
+        self.slept_ns = 0
         self.cancelled_runs = 0
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        self._m_cancelled = sim.metrics.counter("runtime.cancelled_runs")
+        m = sim.metrics
+        self._m_misses = m.counter("runtime.deadline_misses")
+        self._m_lag = m.histogram("runtime.lag_ns")
+        self._m_cancelled = m.counter("runtime.cancelled_runs")
 
     # ------------------------------------------------------------------
     # partition / port API
@@ -166,39 +175,34 @@ class AsyncioBridgedRuntime(Runtime):
         sim._guard_reentry()
         queue = sim._queue
         step = sim.step
-        anchor_wall = perf_counter_ns()
-        anchor_sim = sim._now
-        since_yield = 0
+        self._anchor_wall = perf_counter_ns()
+        self._anchor_sim = sim._now
         try:
             while not sim._stopped:
                 if self._partition_error is not None:
                     raise self._partition_error
                 nxt = queue.peek_time()
-                if nxt is None or nxt > t:
-                    if sim._now >= t:
-                        break
+                if nxt is not None and nxt <= t:
+                    await self._pace_to(nxt)
+                    # Partitions ran during the await: step only if they
+                    # neither stopped the run nor changed the next event.
+                    if not sim._stopped and queue.peek_time() == nxt:
+                        step()
+                elif sim._now < t:
                     # Idle: the queue has nothing before the horizon but
                     # partitions may still be computing — hop virtual
                     # time forward and give asyncio a turn.
-                    hop = min(sim._now + self.idle_quantum_ns,
-                              nxt if nxt is not None else t, t)
-                    sim._now = hop
+                    sim._now = min(sim._now + IDLE_QUANTUM_NS, t)
                     self.idle_hops += 1
-                    await self._breathe(hop, anchor_wall, anchor_sim)
-                    continue
-                if self.pace is not None:
-                    deadline = anchor_wall + int((nxt - anchor_sim) / self.pace)
-                    lag = deadline - perf_counter_ns()
-                    if lag > 0:
-                        await asyncio.sleep(lag / 1e9)
-                step()
-                since_yield += 1
-                if since_yield >= self.yield_every:
-                    since_yield = 0
-                    self.yields += 1
+                    await self._pace_to(sim._now)
+                else:
+                    # Horizon reached: partitions woken by the final
+                    # event get one more turn, and the run ends unless
+                    # they scheduled work before the horizon.
                     await asyncio.sleep(0)
-            if not sim._stopped and sim._now < t:
-                sim._now = t
+                    nxt = queue.peek_time()
+                    if nxt is None or nxt > t:
+                        break
         except (asyncio.CancelledError, KeyboardInterrupt):
             self._on_cancel()
             raise
@@ -206,15 +210,31 @@ class AsyncioBridgedRuntime(Runtime):
             sim._running = False
             sim._stopped = False
 
-    async def _breathe(self, hop_t: int, anchor_wall: int,
-                       anchor_sim: int) -> None:
-        """Yield during an idle hop (paced: sleep to the hop deadline)."""
+    async def _pace_to(self, sim_t: int) -> None:
+        """Hand control to asyncio once before virtual instant ``sim_t``.
+
+        Paced, sleep until its wall deadline, or — when the deadline
+        passed by more than :data:`MISS_TOLERANCE_NS` — count a deadline
+        miss and move the anchor to it, so one long stall is one miss,
+        not a cascade.  Unpaced, only yield.
+        """
+        self.yields += 1
+        delay = 0
         if self.pace is not None:
-            deadline = anchor_wall + int((hop_t - anchor_sim) / self.pace)
-            lag = deadline - perf_counter_ns()
-            await asyncio.sleep(max(lag / 1e9, 0))
-        else:
-            await asyncio.sleep(0)
+            now = perf_counter_ns()
+            delay = (self._anchor_wall
+                     + int((sim_t - self._anchor_sim) / self.pace) - now)
+            if delay > 0:
+                self.slept_ns += delay
+            elif -delay > MISS_TOLERANCE_NS:
+                lag = -delay
+                self.deadline_misses += 1
+                self._m_misses.inc()
+                self._m_lag.observe(lag)
+                self.max_lag_ns = max(self.max_lag_ns, lag)
+                self._anchor_wall = now
+                self._anchor_sim = sim_t
+        await asyncio.sleep(delay / 1e9 if delay > 0 else 0)
 
     def _on_cancel(self) -> None:
         """Mid-flight cancellation: flush trace sinks, count, propagate."""
@@ -263,24 +283,32 @@ class AsyncioBridgedRuntime(Runtime):
         for task in tasks:
             task.add_done_callback(_observe)
         try:
+            # Partitions start at the run's first instant, not after the
+            # first idle hop.
+            await asyncio.sleep(0)
             await self.run_until_async(t)
         finally:
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
+        # A partition that crashed after the loop last looked (in the
+        # final events, or after stopping the run) still fails the run.
+        if self._partition_error is not None:
+            raise self._partition_error
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         return {
             "name": self.name,
             "pace": self.pace,
-            "idle_quantum_ns": self.idle_quantum_ns,
-            "yield_every": self.yield_every,
             "partitions": len(self._partitions),
             "ports": len(self._ports),
             "yields": self.yields,
             "idle_hops": self.idle_hops,
             "injected": sum(p.sent for p in self._ports),
             "delivered": sum(p.delivered for p in self._ports),
+            "deadline_misses": self.deadline_misses,
+            "max_lag_ns": self.max_lag_ns,
+            "slept_ns": self.slept_ns,
             "cancelled_runs": self.cancelled_runs,
         }

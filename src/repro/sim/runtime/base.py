@@ -3,8 +3,8 @@
 A :class:`Runtime` owns the *dispatch loop* of a
 :class:`~repro.sim.kernel.Simulator`: how the next event is chosen is
 fixed by the deterministic event queue, but *when* it executes — as fast
-as Python allows, gated against the wall clock, or interleaved with an
-asyncio event loop — is the runtime's business.  The kernel keeps
+as Python allows, or interleaved with an asyncio event loop and
+optionally paced against the wall clock — is the runtime's business.  The kernel keeps
 everything else (virtual time, scheduling, RNG streams, trace, metrics)
 and delegates ``run``/``run_until``/``run_for`` to its bound runtime.
 
@@ -44,7 +44,7 @@ __all__ = ["Runtime"]
 class Runtime:
     """Base class for kernel execution runtimes (see module docs)."""
 
-    #: Short identifier used by the CLI/factory (``--runtime <name>``).
+    #: Short identifier, reported as ``runtime`` in run results.
     name: str = "abstract"
     #: May :class:`~repro.sim.round_template.RoundTemplateEngine` arm?
     supports_round_templates: bool = False

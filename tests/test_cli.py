@@ -220,3 +220,22 @@ def test_campaign_faults_table(tmp_path, capsys):
     assert out["admission"]["total"] == 6
     assert sum(row["runs"] for row in out["faults"].values()) \
         == out["admission"]["admitted"]
+
+
+@pytest.mark.parametrize("argv", (
+    ["car", "--seconds", "1", "--pace", "0"],
+    ["sweep", "--filter", "tdma-smoke", "--workers", "1", "--pace", "-5"],
+), ids=("car", "sweep"))
+def test_non_positive_pace_is_a_usage_error(argv, tmp_path, capsys):
+    """A non-positive ``--pace`` is rejected by argparse (exit 2) before
+    any scenario is built or handed to a sweep worker."""
+    cache = tmp_path / "cache"
+    if argv[0] == "sweep":
+        argv = [*argv, "--cache-dir", str(cache)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "pace must be positive" in captured.err
+    assert captured.out == ""
+    assert not cache.exists()
