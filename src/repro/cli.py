@@ -73,6 +73,13 @@ def _cmd_car(args: argparse.Namespace) -> int:
                   f"deadline misses={stats['deadline_misses']} "
                   f"max lag={stats['max_lag_ns'] / MS:.2f}ms "
                   f"slept={stats['slept_ns'] / SEC:.2f}s")
+            achieved = stats["achieved_pace"]
+            if (stats["deadline_misses"] > 0 and achieved is not None
+                    and achieved < args.pace):
+                print(f"warning: pace {args.pace:g}x was not reached: "
+                      f"achieved {achieved:.3g}x with "
+                      f"{stats['deadline_misses']} deadline misses",
+                      file=sys.stderr)
         if args.flow_tracing and trace.memory is not None:
             from .analysis import FlowSet
 
@@ -650,53 +657,36 @@ def _cmd_campaign_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or empty the sweep result + template + check caches."""
+    """Inspect or empty the sweep result + check caches."""
     import json
 
-    from .runner.cache import CheckCache, ResultCache, TemplateStore
+    from .runner.cache import CheckCache, ResultCache
 
     cache = ResultCache(args.cache_dir, max_bytes=args.max_bytes)
-    store = TemplateStore(args.cache_dir, max_bytes=args.max_bytes)
     checks = CheckCache(args.cache_dir, max_bytes=args.max_bytes)
     if args.cache_command == "clear":
-        if getattr(args, "templates", False):
-            removed = store.clear()
-            print(f"removed {removed} template bank"
-                  f"{'' if removed == 1 else 's'} from {store.root}")
-            return 0
         removed = cache.clear()
-        removed_tpl = store.clear()
         removed_chk = checks.clear()
-        print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}, "
-              f"{removed_tpl} template bank"
-              f"{'' if removed_tpl == 1 else 's'}, and {removed_chk} check "
+        print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'} "
+              f"and {removed_chk} check "
               f"report{'' if removed_chk == 1 else 's'} from {args.cache_dir}")
         return 0
-    stats = {"results": cache.stats(), "templates": store.stats(),
-             "checks": checks.stats()}
+    stats = {"results": cache.stats(), "checks": checks.stats()}
+    parts = (stats["results"], stats["checks"])
     # One-document campaign rollup: a thousand-scenario sweep wants a
-    # single set of totals, not three lists to re-aggregate.
+    # single set of totals, not one list per cache to re-aggregate.
     stats["totals"] = {
-        "entries": sum(s["entries"] for s in
-                       (stats["results"], stats["templates"],
-                        stats["checks"])),
-        "total_bytes": sum(s["total_bytes"] for s in
-                           (stats["results"], stats["templates"],
-                            stats["checks"])),
-        "evictions": sum(s["evictions"] for s in
-                         (stats["results"], stats["templates"],
-                          stats["checks"])),
+        "entries": sum(s["entries"] for s in parts),
+        "total_bytes": sum(s["total_bytes"] for s in parts),
+        "evictions": sum(s["evictions"] for s in parts),
         "check_hits": stats["checks"].get("hits", 0),
         "check_misses": stats["checks"].get("misses", 0),
-        "scenarios": len(set().union(*(s["scenarios"]
-                                       for s in (stats["results"],
-                                                 stats["templates"],
-                                                 stats["checks"])))),
+        "scenarios": len(set().union(*(s["scenarios"] for s in parts))),
     }
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    for label in ("results", "templates", "checks"):
+    for label in ("results", "checks"):
         s = stats[label]
         print(f"{label} {s['root']}: {s['entries']} entries, "
               f"{s['total_bytes']:,} bytes "
@@ -968,12 +958,10 @@ def main(argv: list[str] | None = None) -> int:
     p_cstats.set_defaults(func=_cmd_cache)
 
     p_cclear = cache_sub.add_parser(
-        "clear", help="delete every cache entry (results and templates)")
+        "clear", help="delete every cache entry (results and check reports)")
     p_cclear.add_argument("--cache-dir", default=".repro_cache", metavar="PATH")
     p_cclear.add_argument("--max-bytes", type=int,
                           default=DEFAULT_CACHE_MAX_BYTES)
-    p_cclear.add_argument("--templates", action="store_true",
-                          help="clear only the persistent template banks")
     p_cclear.add_argument("--json", action="store_true")
     p_cclear.set_defaults(func=_cmd_cache)
 

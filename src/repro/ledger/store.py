@@ -68,10 +68,8 @@ def record_from_result(spec: Any, result: dict, code: str,
     defaults to UTC now — the only wall-clock field, present for humans
     and trend queries, never compared by the audit.
     """
-    from ..sim.round_template import ENGINE_VERSION
-
     spec_dict = spec.as_dict()
-    record = {
+    return {
         "v": LEDGER_VERSION,
         "ts": timestamp if timestamp is not None else (
             # human-facing timestamp, never compared by the audit
@@ -80,7 +78,6 @@ def record_from_result(spec: Any, result: dict, code: str,
         "spec": spec_dict,
         "spec_digest": spec_digest(spec_dict),
         "code_digest": code,
-        "engine_version": ENGINE_VERSION,
         "runtime": result.get("runtime", "sim"),
         "pace": spec.param("pace"),
         "digest": result["digest"],
@@ -90,9 +87,6 @@ def record_from_result(spec: Any, result: dict, code: str,
         "metrics": result["metrics"],
         "round_template": result.get("round_template"),
     }
-    if "template_cache" in result:
-        record["template_cache"] = result["template_cache"]
-    return record
 
 
 class RunLedger:

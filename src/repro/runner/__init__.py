@@ -13,7 +13,7 @@ from .aggregate import (
     load_cached_results,
     observability_report,
 )
-from .cache import ResultCache, TemplateStore, code_digest, result_key, template_key
+from .cache import ResultCache, code_digest, result_key
 from .executor import LEDGER_FILENAME, SweepRunner, run_scenario, trace_digest
 from .report import sweep_table
 from .scenarios import (
@@ -33,7 +33,6 @@ __all__ = [
     "ScenarioSpec",
     "SweepMonitor",
     "SweepRunner",
-    "TemplateStore",
     "aggregate_results",
     "compare_snapshots",
     "load_cached_results",
@@ -45,7 +44,6 @@ __all__ = [
     "filter_scenarios",
     "result_key",
     "run_scenario",
-    "template_key",
     "sweep_table",
     "trace_digest",
 ]

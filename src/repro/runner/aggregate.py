@@ -49,7 +49,7 @@ def load_cached_results(cache_dir: str | Path = ".repro_cache",
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             continue
-        result = payload.get("result") if isinstance(payload, dict) else None
+        result = payload.get("value") if isinstance(payload, dict) else None
         if not isinstance(result, dict) or "name" not in result:
             continue
         if names is not None and result["name"] not in names:

@@ -14,14 +14,15 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Any
 
 from .scenarios import ScenarioSpec
 
-__all__ = ["CheckCache", "ResultCache", "TemplateStore", "check_key",
-           "code_digest", "result_key", "template_key"]
+__all__ = ["CheckCache", "ResultCache", "check_key", "code_digest",
+           "result_key"]
 
 #: bump to invalidate every existing cache entry on format changes
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def _file_sha(path: Path) -> str:
@@ -45,24 +46,6 @@ def result_key(spec: ScenarioSpec, code: str) -> str:
     """Cache key for one scenario under one code state."""
     payload = json.dumps(
         {"format": CACHE_FORMAT, "spec": spec.as_dict(), "code": code},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-
-def template_key(spec: ScenarioSpec, code: str) -> str:
-    """Persistent-template-bank key for one scenario under one code state.
-
-    Separate from :func:`result_key` so the two namespaces can never
-    collide, and salted with the round-template engine's wire-format
-    version: a bank written by an older engine is unreachable (not
-    merely rejected at validation) after a format bump.
-    """
-    from ..sim.round_template import ENGINE_VERSION
-
-    payload = json.dumps(
-        {"format": CACHE_FORMAT, "kind": "templates",
-         "engine": ENGINE_VERSION, "spec": spec.as_dict(), "code": code},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
@@ -93,7 +76,9 @@ DEFAULT_CACHE_MAX_BYTES = 64 * 1024 * 1024
 class _DirCache:
     """Shared machinery for a digest-keyed directory of JSON entries.
 
-    Files are named ``<scenario>-<key>.json``; a ``put`` removes stale
+    Files are named ``<scenario>-<key>.json`` and hold one payload shape,
+    ``{"key", "spec", "value"}``; a ``get`` serves ``value`` only when it
+    is a :attr:`value_type`.  A ``put`` removes stale
     entries of the same scenario (older code states) so the directory
     never grows beyond one file per scenario.  On top of that, a size
     cap (``max_bytes``) evicts the oldest entries — by file mtime, i.e.
@@ -102,6 +87,9 @@ class _DirCache:
     Evictions are tallied in a ``_meta.json`` sidecar (never itself an
     entry) so ``repro cache stats`` can report them across processes.
     """
+
+    #: type a stored ``value`` must have to be served by :meth:`get`
+    value_type: type = dict
 
     def __init__(self, root: str | Path = ".repro_cache",
                  max_bytes: int = DEFAULT_CACHE_MAX_BYTES) -> None:
@@ -149,8 +137,8 @@ class _DirCache:
             {"evictions": self.eviction_count() + n}) + "\n")
 
     # -- entry lifecycle -----------------------------------------------
-    def _read(self, spec: ScenarioSpec, key: str) -> dict | None:
-        """The entry payload for ``key``, or ``None`` on miss/corruption."""
+    def get(self, spec: ScenarioSpec, key: str) -> Any:
+        """The stored value for ``key``, or ``None`` on miss/corruption."""
         path = self.path_for(spec, key)
         try:
             payload = json.loads(path.read_text())
@@ -158,7 +146,8 @@ class _DirCache:
             return None
         if not isinstance(payload, dict) or payload.get("key") != key:
             return None
-        return payload
+        value = payload.get("value")
+        return value if isinstance(value, self.value_type) else None
 
     def _load_index(self) -> None:
         """One-time directory scan seeding the incremental index."""
@@ -184,12 +173,10 @@ class _DirCache:
         self._index_total = 0
         self._by_scenario = {}
 
-    def _write(self, spec: ScenarioSpec, key: str, payload: dict,
-               indent: int | None = 2) -> Path:
-        return self.put_entries([(spec, key, payload)], indent=indent)[0]
+    def put(self, spec: ScenarioSpec, key: str, value: Any) -> Path:
+        return self.put_many([(spec, key, value)])[0]
 
-    def put_entries(self, items: list[tuple[ScenarioSpec, str, dict]],
-                    indent: int | None = 2) -> list[Path]:
+    def put_many(self, items: list[tuple[ScenarioSpec, str, Any]]) -> list[Path]:
         """Store a batch of entries with O(1)-amortized bookkeeping.
 
         Stale same-scenario entries (older code states) are reaped via
@@ -203,7 +190,7 @@ class _DirCache:
         assert self._index is not None
         self.root.mkdir(parents=True, exist_ok=True)
         written: list[Path] = []
-        for spec, key, payload in items:
+        for spec, key, value in items:
             filename = f"{spec.name}-{key}.json"
             stale = self._by_scenario.get(spec.name)
             # Only reap true older keys of THIS scenario, never entries
@@ -213,7 +200,8 @@ class _DirCache:
             if stale is not None and stale != filename:
                 (self.root / stale).unlink(missing_ok=True)
                 self._index_total -= self._index.pop(stale, 0)
-            data = json.dumps(dict(payload, key=key), indent=indent,
+            data = json.dumps({"key": key, "spec": spec.as_dict(),
+                               "value": value}, indent=2,
                               sort_keys=True) + "\n"
             path = self.root / filename
             path.write_text(data)
@@ -292,68 +280,22 @@ class _DirCache:
 
 
 class ResultCache(_DirCache):
-    """One JSON result file per scenario under ``root``."""
-
-    def get(self, spec: ScenarioSpec, key: str) -> dict | None:
-        """The cached result payload, or ``None`` on miss/corruption."""
-        payload = self._read(spec, key)
-        if payload is None:
-            return None
-        result = payload.get("result")
-        return result if isinstance(result, dict) else None
-
-    def put(self, spec: ScenarioSpec, key: str, result: dict) -> Path:
-        return self._write(spec, key, {"spec": spec.as_dict(),
-                                       "result": result})
-
-    def put_many(self, items: list[tuple[ScenarioSpec, str, dict]]) -> list[Path]:
-        """Batch store: one index pass and one eviction sweep for the
-        whole chunk (the sweep runner's campaign write path)."""
-        return self.put_entries([
-            (spec, key, {"spec": spec.as_dict(), "result": result})
-            for spec, key, result in items
-        ])
-
-
-class TemplateStore(_DirCache):
-    """Persistent bank of compiled round templates, one file per
-    scenario, under ``<cache root>/templates/``.
-
-    A stored bank is advisory: the engine re-validates it against the
-    live registration (engine version, mode, round length, label set,
-    participant count) at ``begin`` and signature/fingerprint-checks
-    every replay, so a stale or hand-edited file can only cost a warm
-    start, never correctness.  Banks are written compact (no indent) —
-    a car-class bank runs to thousands of templates.
-    """
-
-    def __init__(self, root: str | Path = ".repro_cache",
-                 max_bytes: int = DEFAULT_CACHE_MAX_BYTES) -> None:
-        super().__init__(Path(root) / "templates", max_bytes=max_bytes)
-
-    def get(self, spec: ScenarioSpec, key: str) -> dict | None:
-        """The stored template bank, or ``None`` on miss/corruption."""
-        payload = self._read(spec, key)
-        if payload is None:
-            return None
-        bank = payload.get("bank")
-        return bank if isinstance(bank, dict) else None
-
-    def put(self, spec: ScenarioSpec, key: str, bank: dict) -> Path:
-        return self._write(spec, key, {"spec": spec.as_dict(),
-                                       "bank": bank}, indent=None)
+    """One JSON result file per scenario under ``root``; the value is a
+    ``run_scenario`` result dict."""
 
 
 class CheckCache(_DirCache):
     """Persistent static-check reports, one file per scenario, under
     ``<cache root>/checks/`` (the incremental ``repro check`` path).
 
-    The payload is the serialized diagnostic list of one
+    The value is the serialized diagnostic list of one
     ``check_scenario`` run.  Hits and misses are tallied in a
     ``_stats.json`` sidecar so a later ``repro cache stats`` invocation
     (a different process) can report whether the warm path actually
     engaged.
     """
+
+    value_type = list
 
     def __init__(self, root: str | Path = ".repro_cache",
                  max_bytes: int = DEFAULT_CACHE_MAX_BYTES) -> None:
@@ -381,19 +323,9 @@ class CheckCache(_DirCache):
 
     def get(self, spec: ScenarioSpec, key: str) -> list[dict] | None:
         """The cached diagnostic dicts, or ``None`` on miss/corruption."""
-        payload = self._read(spec, key)
-        if payload is not None:
-            report = payload.get("report")
-            if isinstance(report, list):
-                self._tally("hits")
-                return report
-        self._tally("misses")
-        return None
-
-    def put(self, spec: ScenarioSpec, key: str,
-            report: list[dict]) -> Path:
-        return self._write(spec, key, {"spec": spec.as_dict(),
-                                       "report": report})
+        report = super().get(spec, key)
+        self._tally("misses" if report is None else "hits")
+        return report
 
     def clear(self) -> int:
         # The tally sidecar goes first so the base sweep does not count

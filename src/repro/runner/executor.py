@@ -24,13 +24,7 @@ from pathlib import Path
 
 from ..errors import ConfigurationError
 from ..sim.trace import jsonl_sha256
-from .cache import (
-    ResultCache,
-    TemplateStore,
-    code_digest,
-    result_key,
-    template_key,
-)
+from .cache import ResultCache, code_digest, result_key
 from .scenarios import ScenarioSpec, build_scenario
 from .telemetry import (
     SweepMonitor,
@@ -54,17 +48,6 @@ def _process_code_digest() -> str:
     return code_digest()
 
 
-@lru_cache(maxsize=8)
-def _process_template_store(root: str) -> TemplateStore:
-    """Per-process persistent :class:`TemplateStore` (one per root).
-
-    Worker state that amortizes across a campaign: the store's
-    incremental directory index survives between the scenarios a
-    worker executes, so a thousand template writes cost one directory
-    scan instead of a thousand."""
-    return TemplateStore(root)
-
-
 def trace_digest(sim) -> str:
     """Deterministic digest of a finished run's observable behaviour.
 
@@ -83,22 +66,15 @@ def trace_digest(sim) -> str:
 
 
 def run_scenario(spec: ScenarioSpec,
-                 template_root: str | None = None,
                  ledger_path: str | None = None) -> dict:
     """Build, run, and summarize one scenario (the worker function).
-
-    With ``template_root`` set, a persisted round-template bank for
-    this (spec, code) key is loaded before the run (warm start) and a
-    bank enriched by this run is written back afterwards — unless the
-    run punctured, in which case the surviving bank reflects mutated
-    dynamics and is not trusted for persistence.
 
     With ``ledger_path`` set, a provenance record for the finished run
     (spec + digests + metrics; see :mod:`repro.ledger`) is durably
     appended to that file.  Append failures never fail the run — the
     result instead carries a ``ledger_error`` field.
     """
-    result = _execute_scenario(spec, template_root)
+    result = _execute_scenario(spec)
     if ledger_path is not None:
         from ..ledger import RunLedger, record_from_result
 
@@ -110,22 +86,11 @@ def run_scenario(spec: ScenarioSpec,
     return result
 
 
-def _execute_scenario(spec: ScenarioSpec,
-                      template_root: str | None = None) -> dict:
+def _execute_scenario(spec: ScenarioSpec) -> dict:
     """Build, run, and summarize one scenario — no ledger side effects
     (chunked execution batches those; see :func:`_pool_worker_chunk`)."""
     t0 = time.perf_counter()
     sim = build_scenario(spec)
-    engine = sim.round_template
-    store = tpl_key = None
-    tpl_hit = False
-    if template_root is not None:
-        store = _process_template_store(template_root)
-        tpl_key = template_key(spec, _process_code_digest())
-        bank = store.get(spec, tpl_key)
-        tpl_hit = bank is not None
-        if tpl_hit:
-            engine.load_bank(bank)
     try:
         sim.run_until(spec.horizon_ns)
     finally:
@@ -146,21 +111,8 @@ def _execute_scenario(spec: ScenarioSpec,
         "wall_s": round(t1 - t0, 6),
         "digest_s": round(digest_s, 6),
         "runtime": sim.runtime.name,
-        "round_template": engine.stats(),
+        "round_template": sim.round_template.stats(),
     }
-    if store is not None:
-        stored = False
-        if engine.bank_dirty and engine.punctures == 0:
-            dump = engine.dump_bank()
-            if dump is not None:
-                store.put(spec, tpl_key, dump)
-                stored = True
-        result["template_cache"] = {
-            "hit": tpl_hit,
-            "stored": stored,
-            "templates_loaded": engine.templates_loaded,
-            "load_failures": engine.template_load_failures,
-        }
     if sim.runtime.name != "sim":
         result["runtime_stats"] = sim.runtime.stats()
     if sim.flows.enabled and sim.trace.memory is not None:
@@ -170,15 +122,7 @@ def _execute_scenario(spec: ScenarioSpec,
     return result
 
 
-def _pool_worker(spec: ScenarioSpec,
-                 template_root: str | None = None,
-                 ledger_path: str | None = None) -> dict:
-    """Top-level pool entry point; never raises across the pipe."""
-    return _pool_worker_chunk([spec], template_root, ledger_path)[0]
-
-
 def _pool_worker_chunk(specs: list[ScenarioSpec],
-                       template_root: str | None = None,
                        ledger_path: str | None = None) -> list[dict]:
     """Execute a chunk of scenarios in one task; never raises.
 
@@ -195,7 +139,7 @@ def _pool_worker_chunk(specs: list[ScenarioSpec],
         worker_post({"event": "start", "scenario": spec.name})
         try:
             with worker_heartbeat(spec.name):
-                result = _execute_scenario(spec, template_root=template_root)
+                result = _execute_scenario(spec)
             worker_post({"event": "finish", "scenario": spec.name,
                          "wall_s": result["wall_s"],
                          "digest": result["digest"][:12]})
@@ -235,13 +179,6 @@ class SweepRunner:
         When True, a scenario whose (spec, code digest) key has a cached
         result is not re-run.  Fresh results are written to the cache
         either way, so ``use_cache=False`` acts as a forced refresh.
-    use_templates:
-        When True (the default), executed scenarios warm-start from the
-        persistent round-template store under ``<cache_dir>/templates/``
-        and persist any newly compiled bank.  Independent of
-        ``use_cache``: a forced result refresh still benefits from (and
-        refreshes) warm templates, and replay parity guarantees the
-        digest is byte-identical either way.
     strict:
         When True, every to-be-executed scenario is built once in this
         process and run through the static pre-flight check
@@ -262,7 +199,7 @@ class SweepRunner:
 
     def __init__(self, workers: int = 1, cache_dir: str = ".repro_cache",
                  use_cache: bool = True, strict: bool = False,
-                 use_templates: bool = True, use_ledger: bool = True,
+                 use_ledger: bool = True,
                  monitor: SweepMonitor | None = None,
                  chunk_size: int | None = None) -> None:
         self.workers = max(1, int(workers))
@@ -270,7 +207,6 @@ class SweepRunner:
         self.cache = ResultCache(cache_dir)
         self.use_cache = use_cache
         self.strict = strict
-        self.template_root = str(cache_dir) if use_templates else None
         self.ledger_path = (str(Path(cache_dir) / LEDGER_FILENAME)
                             if use_ledger else None)
         self.monitor = monitor
@@ -404,7 +340,6 @@ class SweepRunner:
                 for batch in chunks:
                     for spec, result in zip(
                             batch, _pool_worker_chunk(batch,
-                                                      self.template_root,
                                                       self.ledger_path)):
                         yield spec.name, result
             finally:
@@ -431,9 +366,8 @@ class SweepRunner:
                 # One future per *chunk*, not per scenario: at N=1000
                 # the completion loop rescans O(N/chunk) futures per
                 # wait instead of O(N), and each worker amortizes its
-                # ledger fsync and template-store index over the chunk.
+                # ledger fsync over the chunk.
                 pending = {pool.submit(_pool_worker_chunk, batch,
-                                       self.template_root,
                                        self.ledger_path): batch
                            for batch in chunks}
                 while pending:

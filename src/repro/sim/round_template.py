@@ -50,16 +50,6 @@ that verification), and any deviation — an unregistered event, a
 non-linear state delta, a fingerprint mismatch — falls back to
 event-by-event execution for that round.
 
-Persistent template store
--------------------------
-``dump_bank()``/``load_bank()`` serialize compiled templates so a
-sweep's second run — and every parallel worker — skips warm-up (see
-:class:`repro.runner.cache.TemplateStore`; keyed by spec + code digest
-+ :data:`ENGINE_VERSION`).  A loaded bank is validated eagerly against
-the engine's round length, label set, and participant count; any
-mismatch or parse error discards it and falls back to live
-compilation.  Runs that punctured never persist their bank.
-
 Interleaving-source contract
 ----------------------------
 Dynamic activity that is *not* part of the periodic round must either
@@ -125,8 +115,6 @@ Participant protocol (duck-typed)
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
@@ -138,21 +126,16 @@ from .trace import CounterSink, TraceRecord
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
 
-__all__ = ["RoundTemplateEngine", "STRIDE_KEYS", "ENGINE_VERSION"]
+__all__ = ["RoundTemplateEngine", "STRIDE_KEYS"]
 
 #: Trace-detail keys allowed to advance by a constant integer stride per
 #: round (everything else must be bit-identical between rounds).
 STRIDE_KEYS = ("cycle", "nominal")
 
-#: Template wire-format / semantics version.  Bumped whenever the
-#: compiled-template shape or replay semantics change; the persistent
-#: store keys on it so stale files can never be misread.
-ENGINE_VERSION = 3
-
 
 def _canon(value: Any) -> Any:
-    """Recursively turn JSON lists back into tuples (bank keys and
-    fingerprints round-trip through JSON as lists)."""
+    """Recursively turn lists into tuples, so participant fingerprints
+    are hashable bank-key parts."""
     if isinstance(value, list):
         return tuple(_canon(v) for v in value)
     return value
@@ -182,16 +165,12 @@ class RoundTemplateEngine:
         self._bank: dict[tuple, dict] = {}
         self._cands: dict[tuple, dict] = {}
         self._prev: tuple | None = None
-        self._pending_bank: dict | None = None
-        self._dirty = False
         # statistics ----------------------------------------------------
         self.rounds_replayed = 0
         self.replays = 0
         self.recordings = 0
         self.failed_recordings = 0
         self.punctures = 0
-        self.templates_loaded = 0
-        self.template_load_failures = 0
 
     # ------------------------------------------------------------------
     # configuration & registration
@@ -217,11 +196,6 @@ class RoundTemplateEngine:
     @property
     def round_length(self) -> int:
         return self._round_len
-
-    @property
-    def bank_dirty(self) -> bool:
-        """True iff this run compiled at least one new template."""
-        return self._dirty
 
     @property
     def _eff_parts(self) -> list[Any]:
@@ -348,94 +322,6 @@ class RoundTemplateEngine:
             self._unsub = self.sim.trace.subscribe(self._capture_listener)
 
     # ------------------------------------------------------------------
-    # persistent template store
-    # ------------------------------------------------------------------
-    def load_bank(self, data: dict | None) -> None:
-        """Stash a previously dumped template bank; it is validated and
-        materialized at the next :meth:`begin` (registration must be
-        complete before the bank can be checked against it)."""
-        self._pending_bank = data
-
-    def _labels_digest(self) -> str:
-        payload = json.dumps(sorted(self._labels))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def _strip(self, tpl: dict) -> dict:
-        return {k: v for k, v in tpl.items() if not k.startswith("_")}
-
-    def dump_bank(self) -> dict | None:
-        """JSON-able snapshot of every compiled template (None if there
-        is nothing worth persisting)."""
-        if not self._bank:
-            return None
-        entries = []
-        for key in sorted(self._bank, key=repr):
-            entries.append({"key": [key[0], key[1]],
-                            "tpl": self._strip(self._bank[key])})
-        return {
-            "version": ENGINE_VERSION,
-            "round_len": self._round_len,
-            "labels": self._labels_digest(),
-            "parts": len(self._eff_parts),
-            "templates": entries,
-        }
-
-    def _canon_tpl(self, raw: dict) -> dict:
-        protos = tuple(
-            (int(nrel), str(cat), str(src), dict(detail),
-             tuple((str(k), v, int(s)) for k, v, s in strides))
-            for nrel, cat, src, detail, strides in raw["protos"]
-        )
-        return {
-            "protos": protos,
-            "ticks": [{str(c): int(n) for c, n in d.items()}
-                      for d in raw["ticks"]],
-            "counters": {str(n): int(v) for n, v in raw["counters"].items()},
-            "hists": {str(n): (int(dc), int(dtot),
-                               tuple((int(i), int(db)) for i, db in bd))
-                      for n, (dc, dtot, bd) in raw["hists"].items()},
-            "events": int(raw["events"]),
-            "parts": [{str(k): int(v) for k, v in d.items()}
-                      for d in raw["parts"]],
-            "mbase": int(raw["mbase"]),
-            "uniform": None if raw["uniform"] is None else int(raw["uniform"]),
-            "strides": tuple(int(s) for s in raw["strides"]),
-        }
-
-    def _materialize_bank(self) -> None:
-        data = self._pending_bank
-        # One-shot: a puncture drops loaded templates on purpose (their
-        # keys may collide with post-fault state), so a later run_until
-        # must not quietly resurrect the same bank.
-        self._pending_bank = None
-        if data is None:
-            return
-        if not isinstance(data, dict):
-            self.template_load_failures += 1
-            return
-        try:
-            if data.get("version") != ENGINE_VERSION:
-                raise ValueError("engine version mismatch")
-            if data.get("round_len") != self._round_len:
-                raise ValueError("round length mismatch")
-            if data.get("labels") != self._labels_digest():
-                raise ValueError("label set mismatch")
-            if data.get("parts") != len(self._eff_parts):
-                raise ValueError("participant count mismatch")
-            bank: dict[tuple, dict] = {}
-            count = 0
-            for entry in data.get("templates", ()):
-                norm, fp = entry["key"]
-                key = (_canon(norm), _canon(fp))
-                bank[key] = self._canon_tpl(entry["tpl"])
-                count += 1
-        except Exception:
-            self.template_load_failures += 1
-            return
-        self._bank.update(bank)
-        self.templates_loaded = count
-
-    # ------------------------------------------------------------------
     # kernel entry points
     # ------------------------------------------------------------------
     def begin(self, t: int) -> "RoundTemplateEngine | None":
@@ -443,11 +329,7 @@ class RoundTemplateEngine:
 
         Recording always restarts from scratch: model state may have been
         mutated between runs (tests crash controllers, tweak queues), so
-        an in-process template from a previous run is never trusted.  A
-        *persisted* bank (``load_bank``) is the one exception: it is
-        validated against the freshly built registration and its
-        templates remain signature/fingerprint-verified before every
-        replay.
+        a template from a previous run is never trusted.
         """
         if not self._active or self._round_len <= 0 or self._sources:
             return None
@@ -464,7 +346,6 @@ class RoundTemplateEngine:
             # A live listener observes records one by one; bulk replay
             # would change what it sees relative to model state.
             return None
-        self._materialize_bank()
         # Recording is continuous: every live round is a potential
         # template occurrence, so capture stays subscribed for the whole
         # run (cleared at each boundary) — and must survive mid-run
@@ -748,7 +629,6 @@ class RoundTemplateEngine:
             self._bank[key] = self._make_tpl(delta, (), entry_B, uniform,
                                              tuple(strides))
             self.recordings += 1
-            self._dirty = True
             return
         cur = {"delta": delta, "records": records, "B": entry_B,
                "phi": phi, "uniform": uniform, "strides": list(strides)}
@@ -764,7 +644,6 @@ class RoundTemplateEngine:
         self._bank[key] = tpl
         del self._cands[key]
         self.recordings += 1
-        self._dirty = True
 
     def _pair(self, cand: dict, cur: dict) -> dict | None:
         """Pair two occurrences of the same bank key into a template."""
@@ -981,8 +860,6 @@ class RoundTemplateEngine:
             "failed_recordings": self.failed_recordings,
             "punctures": self.punctures,
             "bank_templates": len(self._bank),
-            "templates_loaded": self.templates_loaded,
-            "template_load_failures": self.template_load_failures,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

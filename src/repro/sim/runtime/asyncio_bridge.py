@@ -29,7 +29,10 @@ event at virtual instant ``T`` sleeps until the wall clock reaches
 ``runtime.deadline_misses`` metric with the observed lag in the
 ``runtime.lag_ns`` histogram; the anchor then moves to the miss, so the
 whole schedule slips and one long stall counts once (cadence matters,
-absolute wall alignment does not).  Unpaced, the hand-over is a bare
+absolute wall alignment does not).  ``achieved_pace`` in :meth:`stats`
+is the virtual time advanced over the wall time elapsed across every
+run; below ``pace`` together with misses, the requested pace was out of
+reach.  Unpaced, the hand-over is a bare
 yield and the simulation runs as fast as the loop allows.  When the
 event queue has nothing before the horizon (partitions may still be
 computing), virtual time advances in :data:`IDLE_QUANTUM_NS` hops so
@@ -126,6 +129,8 @@ class AsyncioBridgedRuntime(Runtime):
         self.max_lag_ns = 0
         self.slept_ns = 0
         self.cancelled_runs = 0
+        self.run_sim_ns = 0
+        self.run_wall_ns = 0
 
     def bind(self, sim) -> None:
         super().bind(sim)
@@ -175,8 +180,8 @@ class AsyncioBridgedRuntime(Runtime):
         sim._guard_reentry()
         queue = sim._queue
         step = sim.step
-        self._anchor_wall = perf_counter_ns()
-        self._anchor_sim = sim._now
+        start_sim = self._anchor_sim = sim._now
+        start_wall = self._anchor_wall = perf_counter_ns()
         try:
             while not sim._stopped:
                 if self._partition_error is not None:
@@ -207,6 +212,8 @@ class AsyncioBridgedRuntime(Runtime):
             self._on_cancel()
             raise
         finally:
+            self.run_sim_ns += sim._now - start_sim
+            self.run_wall_ns += perf_counter_ns() - start_wall
             sim._running = False
             sim._stopped = False
 
@@ -310,5 +317,8 @@ class AsyncioBridgedRuntime(Runtime):
             "deadline_misses": self.deadline_misses,
             "max_lag_ns": self.max_lag_ns,
             "slept_ns": self.slept_ns,
+            # virtual ns advanced per wall ns over every run so far
+            "achieved_pace": (self.run_sim_ns / self.run_wall_ns
+                              if self.run_wall_ns > 0 else None),
             "cancelled_runs": self.cancelled_runs,
         }

@@ -201,8 +201,8 @@ def test_cache_stats_totals_rollup(tmp_path, capsys):
                  "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     totals = stats["totals"]
+    assert "templates" not in stats
     assert totals["entries"] == (stats["results"]["entries"]
-                                 + stats["templates"]["entries"]
                                  + stats["checks"]["entries"])
     assert totals["total_bytes"] > 0
     assert "check_hits" in totals and "check_misses" in totals

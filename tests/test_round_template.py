@@ -28,7 +28,7 @@ REGISTRY = default_registry()
 REPLAYING = ("tdma-cluster", "tdma-smoke", "tt-vn-pipeline")
 
 
-_VOLATILE = ("wall_s", "digest_s", "round_template", "template_cache")
+_VOLATILE = ("wall_s", "digest_s", "round_template")
 
 
 def _comparable(result: dict) -> dict:
@@ -239,113 +239,6 @@ def test_build_car_replays_with_identical_trace() -> None:
         if fast:
             assert car.sim.round_template.stats()["rounds_replayed"] > 0
     assert results[True] == results[False]
-
-
-# ----------------------------------------------------------------------
-# persistent template bank
-# ----------------------------------------------------------------------
-def _run_engine(name: str, bank: dict | None = None,
-                round_template: bool = True):
-    from repro.runner.executor import trace_digest
-
-    spec = REGISTRY[name].with_param("round_template", round_template)
-    sim = build_scenario(spec)
-    if bank is not None:
-        sim.round_template.load_bank(bank)
-    try:
-        sim.run_until(spec.horizon_ns)
-    finally:
-        sim.trace.close()
-    observable = {
-        "digest": trace_digest(sim),
-        "events": sim.events_executed,
-        "now": sim.now,
-        "metrics": sim.metrics.snapshot(),
-    }
-    return sim, observable
-
-
-def test_persisted_bank_warm_start_is_byte_identical() -> None:
-    """dump_bank -> load_bank across two fresh simulators: the warm run
-    replays from the loaded templates (no re-recording needed for known
-    keys) and stays byte-identical with the cold run."""
-    cold_sim, cold = _run_engine("car-smoke")
-    bank = cold_sim.round_template.dump_bank()
-    assert bank is not None and bank["templates"]
-    warm_sim, warm = _run_engine("car-smoke", bank=bank)
-    stats = warm_sim.round_template.stats()
-    assert stats["templates_loaded"] == len(bank["templates"])
-    assert stats["template_load_failures"] == 0
-    assert stats["rounds_replayed"] >= 1
-    assert warm == cold
-
-
-def test_fault_punctures_persisted_bank_mid_run() -> None:
-    """A fault injector firing mid-run must drop a *loaded* bank exactly
-    like a live-compiled one: replay stops, the fault executes at its
-    exact instant, and the observable run stays identical to the slow
-    path."""
-    cold_sim, _ = _run_engine("fault-babbling-idiot")
-    bank = cold_sim.round_template.dump_bank()
-    assert bank is not None
-    warm_sim, warm = _run_engine("fault-babbling-idiot", bank=bank)
-    stats = warm_sim.round_template.stats()
-    assert stats["templates_loaded"] >= 1
-    assert stats["punctures"] >= 1  # loaded bank dropped at the fault
-    assert stats["replays"] >= 1
-    _, slow = _run_engine("fault-babbling-idiot", round_template=False)
-    assert warm == slow
-
-
-#: Bank fields that only the two-mode (version 2) format carried.
-_V2_ONLY_FIELDS = {"mode": "qp", "strict_tpl": None}
-
-
-def test_stale_or_corrupt_bank_falls_back_to_live_compile() -> None:
-    """A bank from another engine version (including the two-mode v2
-    format), another registration, or a corrupted file must be rejected
-    at validation — counted, never trusted — and the run must land
-    byte-identical anyway."""
-    cold_sim, cold = _run_engine("tdma-smoke")
-    bank = cold_sim.round_template.dump_bank()
-    assert bank is not None
-    assert not bank.keys() & _V2_ONLY_FIELDS.keys()
-    stale = dict(bank, version=bank["version"] + 1)
-    v2_format = dict(bank, version=2, **_V2_ONLY_FIELDS)
-    mismatched = dict(bank, labels="0" * 16)
-    garbled = dict(bank, templates=[{"oops": 1}])
-    for bad in (stale, v2_format, mismatched, garbled, "not a bank"):
-        sim, observable = _run_engine("tdma-smoke", bank=bad)
-        stats = sim.round_template.stats()
-        assert stats["templates_loaded"] == 0
-        assert stats["template_load_failures"] == 1
-        assert stats["replays"] >= 1  # live compile still engages
-        assert observable == cold
-
-
-def test_template_store_roundtrip_through_executor(tmp_path) -> None:
-    """run_scenario with a template root: first run stores the bank,
-    second run warm-loads it, digests byte-identical; a truncated store
-    file degrades to a cold run instead of failing."""
-    from repro.runner import TemplateStore, run_scenario
-
-    spec = REGISTRY["tdma-smoke"]
-    first = run_scenario(spec, template_root=str(tmp_path))
-    assert first["template_cache"] == {
-        "hit": False, "stored": True, "templates_loaded": 0,
-        "load_failures": 0}
-    second = run_scenario(spec, template_root=str(tmp_path))
-    assert second["template_cache"]["hit"]
-    assert second["template_cache"]["templates_loaded"] >= 1
-    assert second["digest"] == first["digest"]
-    assert _comparable(second) == _comparable(first)
-
-    store = TemplateStore(tmp_path)
-    (entry,) = store.entries()
-    entry.write_text(entry.read_text()[: entry.stat().st_size // 2])
-    third = run_scenario(spec, template_root=str(tmp_path))
-    assert not third["template_cache"]["hit"]
-    assert third["digest"] == first["digest"]
 
 
 # ----------------------------------------------------------------------

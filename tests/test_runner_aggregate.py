@@ -28,14 +28,14 @@ def _result(name: str, counters: dict, flows: dict | None = None,
 
 def _write(cache, name, result):
     (cache / f"{name}-abc123.json").write_text(
-        json.dumps({"key": "abc123", "spec": {}, "result": result}))
+        json.dumps({"key": "abc123", "spec": {}, "value": result}))
 
 
 def test_load_cached_results_skips_foreign_files(tmp_path):
     _write(tmp_path, "b", _result("b", {"x": 1}))
     _write(tmp_path, "a", _result("a", {"x": 2}))
     (tmp_path / "junk.json").write_text("not json at all")
-    (tmp_path / "other.json").write_text('{"no": "result"}')
+    (tmp_path / "other.json").write_text('{"no": "value"}')
     results = load_cached_results(tmp_path)
     assert [r["name"] for r in results] == ["a", "b"]  # sorted, junk skipped
     only_a = load_cached_results(tmp_path, names=["a"])

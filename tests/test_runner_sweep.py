@@ -13,12 +13,15 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.ledger import RunLedger, verify_entries
 from repro.runner import (
     BUILDERS,
+    LEDGER_FILENAME,
     ResultCache,
     ScenarioSpec,
     SweepRunner,
     build_scenario,
+    code_digest,
     default_registry,
     derive_seed,
     filter_scenarios,
@@ -242,6 +245,23 @@ def test_no_cache_forces_rerun_but_refreshes_entries(tmp_path):
     assert second["executed"] == 1
     warm = SweepRunner(workers=1, cache_dir=tmp_path).run([spec])
     assert warm["cache_hits"] == 1
+
+
+def test_forced_refresh_reruns_match_event_by_event_run(tmp_path):
+    """Two ``use_cache=False`` sweeps into one directory must both give
+    the event-by-event digest, and their ledger must audit at parity.
+    A second run that warm-started replay from the first run's compiled
+    templates once recorded a different car-strict-separation digest."""
+    spec = default_registry()["car-strict-separation"]
+    exact = run_scenario(spec.with_param("round_template", False))["digest"]
+    runner = SweepRunner(workers=1, cache_dir=tmp_path, use_cache=False)
+    digests = [runner.run([spec])["scenarios"][0]["digest"]
+               for _ in range(2)]
+    assert digests == [exact, exact]
+    entries = RunLedger(tmp_path / LEDGER_FILENAME).entries()
+    assert [e["digest"] for e in entries] == digests
+    audit = verify_entries(entries, code_digest(), strict=True)
+    assert audit["ok"] and audit["parity"] == audit["checked"] == 1
 
 
 def test_failing_scenario_is_reported_not_cached(tmp_path):

@@ -185,6 +185,34 @@ def test_deadline_misses_recorded_in_metrics() -> None:
     assert "runtime.lag_ns" in snapshot["histograms"]
 
 
+def test_unreachable_pace_reports_achieved_pace() -> None:
+    """Five events 2 ms apart, each stalling 2 ms of wall time, cannot
+    run a million times faster than real time: the run misses deadlines
+    and ``achieved_pace`` (virtual ns per wall ns) stays below the
+    requested pace.  Only the unreachable side is tested; whether a
+    pace is reached depends on the host."""
+    rt = AsyncioBridgedRuntime(pace=1e6)
+    sim = Simulator(seed=0, runtime=rt)
+    for i in range(1, 6):
+        sim.at(i * 2 * MS, lambda: time.sleep(0.002), label="tick")
+    sim.run_until(10 * MS)
+    stats = rt.stats()
+    assert stats["deadline_misses"] > 0
+    assert 0 < stats["achieved_pace"] < stats["pace"]
+    assert rt.run_sim_ns == 10 * MS
+
+
+def test_car_cli_warns_when_pace_is_unreachable(capsys) -> None:
+    from repro.cli import main
+
+    assert main(["car", "--seconds", "0.1", "--pace", "1e9",
+                 "--trace-mode", "counters"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    warnings = [line for line in err if line.startswith("warning: pace")]
+    assert len(warnings) == 1
+    assert "1e+09x was not reached" in warnings[0]
+
+
 def test_paced_runtime_rejects_bad_config() -> None:
     with pytest.raises(ConfigurationError):
         AsyncioBridgedRuntime(pace=0)
