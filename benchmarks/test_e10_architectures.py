@@ -14,38 +14,7 @@ dashboard), with a connector-count reliability proxy.
 from __future__ import annotations
 
 from repro.analysis import Table
-from repro.systems import (
-    ArchitectureModel,
-    DASRequirement,
-    SystemRequirements,
-)
-
-
-def automotive_requirements() -> SystemRequirements:
-    """The Sec. V-substitute car, as demand on hardware."""
-    return SystemRequirements(
-        dass=(
-            DASRequirement("abs", jobs=4,
-                           sensed_quantities=("wheel-speed", "yaw-rate",
-                                              "brake-pressure")),
-            DASRequirement("xbywire", jobs=4,
-                           sensed_quantities=("pedal-position",),
-                           importable=("wheel-speed",)),
-            DASRequirement("navigation", jobs=3,
-                           sensed_quantities=("gps",),
-                           importable=("wheel-speed", "yaw-rate")),
-            DASRequirement("presafe", jobs=2,
-                           importable=("yaw-rate", "brake-pressure")),
-            DASRequirement("comfort", jobs=4,
-                           sensed_quantities=("roof-position",)),
-            DASRequirement("dashboard", jobs=2,
-                           importable=("roof-position", "wheel-speed")),
-        ),
-        jobs_per_ecu=4,
-        sensors_per_quantity={"wheel-speed": 4, "gps": 1, "yaw-rate": 1,
-                              "brake-pressure": 1, "pedal-position": 2,
-                              "roof-position": 1},
-    )
+from repro.systems import ArchitectureModel, automotive_requirements
 
 
 def run_experiment() -> list:

@@ -50,22 +50,19 @@ class WheelSpeedSensor(Job):
         self.samples_published += 1
 
     # -- round-template support (see repro.sim.round_template) ---------
-    def rt_counters(self) -> dict[str, int]:
-        c = super().rt_counters()
+    def rt_state(self) -> dict[str, int]:
+        c = super().rt_state()
         c["pub"] = self.samples_published
         return c
 
-    def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
-        super().rt_advance(delta, k, prefix)
-        self.samples_published += delta[prefix + "pub"] * k
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
+        super().rt_advance(delta, k)
+        self.samples_published += delta["pub"] * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
         # A distortion hook makes published payloads value-dependent in
         # ways replay cannot reproduce; sampling itself is stateless.
-        return None if self.value_distortion is not None else ()
-
-    def rt_headroom(self, boundary: int, round_len: int) -> int | None:
-        return None
+        return None if self.value_distortion is not None else (int(self.active),)
 
 
 class DynamicsSensor(Job):
@@ -93,17 +90,14 @@ class DynamicsSensor(Job):
         self.samples_published += 1
 
     # -- round-template support (see repro.sim.round_template) ---------
-    def rt_counters(self) -> dict[str, int]:
-        c = super().rt_counters()
+    def rt_state(self) -> dict[str, int]:
+        c = super().rt_state()
         c["pub"] = self.samples_published
         return c
 
-    def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
-        super().rt_advance(delta, k, prefix)
-        self.samples_published += delta[prefix + "pub"] * k
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
+        super().rt_advance(delta, k)
+        self.samples_published += delta["pub"] * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
-        return None if self.value_distortion is not None else ()
-
-    def rt_headroom(self, boundary: int, round_len: int) -> int | None:
-        return None
+        return None if self.value_distortion is not None else (int(self.active),)

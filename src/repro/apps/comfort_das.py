@@ -77,14 +77,14 @@ class SlidingRoofController(Job):
         self.events_emitted += 1
 
     # -- round-template support (see repro.sim.round_template) ---------
-    def rt_counters(self) -> dict[str, int]:
-        c = super().rt_counters()
+    def rt_state(self) -> dict[str, int]:
+        c = super().rt_state()
         c["emit"] = self.events_emitted
         return c
 
-    def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
-        super().rt_advance(delta, k, prefix)
-        self.events_emitted += delta[prefix + "emit"] * k
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
+        super().rt_advance(delta, k)
+        self.events_emitted += delta["emit"] * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
         # Motion steps and chatter emit ET events and mutate position —
@@ -94,7 +94,7 @@ class SlidingRoofController(Job):
             return None
         if self.position != self.target or self.extra_chatter:
             return None
-        return ("idle", self.position)
+        return (int(self.active), "idle", self.position)
 
     def rt_headroom(self, boundary: int, round_len: int) -> int | None:
         if self.motion_plan:

@@ -36,7 +36,4 @@ class RecorderJob(Job):
         # The reception log is observational only (not part of the
         # parity surface); replayed spans advance the msg counter while
         # the python-level log legitimately skips those entries.
-        return ()
-
-    def rt_headroom(self, boundary: int, round_len: int) -> int | None:
-        return None
+        return (int(self.active),)

@@ -79,24 +79,24 @@ class GpsReceiver(Job):
                     moved = True
         return cand
 
-    def rt_counters(self) -> dict[str, int]:
-        c = super().rt_counters()
+    def rt_state(self) -> dict[str, int]:
+        c = super().rt_state()
         c["pub"] = self.fixes_published
         return c
 
-    def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
-        super().rt_advance(delta, k, prefix)
-        self.fixes_published += delta[prefix + "pub"] * k
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
+        super().rt_advance(delta, k)
+        self.fixes_published += delta["pub"] * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
         if self.vn is None:
-            return ("unbound",)
+            return (int(self.active), "unbound")
         # A fix fire mutates _last_fix and emits an ET send; neither can
         # be replayed.  Veto while the next fire is due — the veto
         # self-sustains until the live step actually performs it.
         if self._rt_next_fire() < boundary + round_len:
             return None
-        return ()
+        return (int(self.active),)
 
     def rt_headroom(self, boundary: int, round_len: int) -> int | None:
         if self.vn is None:
@@ -189,16 +189,16 @@ class NavigationEstimator(Job):
     # its updates.  What must stay exact are the branch counters below,
     # whose per-step increments depend only on which branch of on_step
     # runs: that branch is pinned by the fingerprint cells.
-    def rt_counters(self) -> dict[str, int]:
-        c = super().rt_counters()
+    def rt_state(self) -> dict[str, int]:
+        c = super().rt_state()
         c["snap"] = self.gps_snaps
         c["dr"] = self.dead_reckoning_steps
         return c
 
-    def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
-        super().rt_advance(delta, k, prefix)
-        self.gps_snaps += delta[prefix + "snap"] * k
-        self.dead_reckoning_steps += delta[prefix + "dr"] * k
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
+        super().rt_advance(delta, k)
+        self.gps_snaps += delta["snap"] * k
+        self.dead_reckoning_steps += delta["dr"] * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
         gps = self._ports.get("msgGpsFix")
@@ -218,7 +218,7 @@ class NavigationEstimator(Job):
                     cls = "stale"
         odo = self._ports.get("msgOdometry")
         has_odo = odo is not None and odo._value is not None
-        return (cls, has_odo, self._last_step is None)
+        return (int(self.active), cls, has_odo, self._last_step is None)
 
     def rt_headroom(self, boundary: int, round_len: int) -> int | None:
         gps = self._ports.get("msgGpsFix")

@@ -90,13 +90,13 @@ class PreSafeController(Job):
             due = self._last_fire + self.rearm_after
             if due < boundary + round_len:
                 return None  # re-arm flips _armed this round — run live
-            return ("disarmed",)
+            return (int(self.active), "disarmed")
         port = self._ports.get("msgDynamicsPreSafe")
         if port is None:
-            return ("noimport",)
+            return (int(self.active), "noimport")
         dyn = port._value
         if dyn is None:
-            return ("armed", "nodata")
+            return (int(self.active), "armed", "nodata")
         # Same hazard predicate as on_step (side-effect-free peek): a
         # firing round mutates _armed/_last_fire and emits ET sends, so
         # it must run live; the veto self-sustains until the fire.
@@ -104,7 +104,7 @@ class PreSafeController(Job):
         brake = dyn.get("Dynamics", "brake") / 1000.0
         if yaw >= self.yaw_threshold or brake >= self.brake_threshold:
             return None
-        return ("armed", "calm")
+        return (int(self.active), "armed", "calm")
 
     def rt_headroom(self, boundary: int, round_len: int) -> int | None:
         if not self._armed and self._last_fire is not None:

@@ -45,19 +45,16 @@ class BrakeByWireController(Job):
         self.commands_published += 1
 
     # -- round-template support (see repro.sim.round_template) ---------
-    def rt_counters(self) -> dict[str, int]:
-        c = super().rt_counters()
+    def rt_state(self) -> dict[str, int]:
+        c = super().rt_state()
         c["pub"] = self.commands_published
         return c
 
-    def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
-        super().rt_advance(delta, k, prefix)
-        self.commands_published += delta[prefix + "pub"] * k
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
+        super().rt_advance(delta, k)
+        self.commands_published += delta["pub"] * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
         # Sampling is stateless: the published force tracks the vehicle
         # model, whose behavioural phase the VehicleFingerprint guards.
-        return ()
-
-    def rt_headroom(self, boundary: int, round_len: int) -> int | None:
-        return None
+        return (int(self.active),)

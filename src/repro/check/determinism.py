@@ -1,8 +1,12 @@
 """DET0xx — AST lint keeping nondeterminism out of the simulator core.
 
 Golden-digest reproducibility (identical trace digests for identical
-seeds) is enforced by machine, not by review: this lint walks the
-simulator-core packages and rejects sources of run-to-run variation.
+seeds) is enforced by machine, not by review: this lint walks every
+package whose code runs inside the simulator — the kernel and network
+layers, the platform and application jobs (whose fingerprints decide
+round-template replay), fault injection, system assembly, messaging,
+specifications and automata — and rejects sources of run-to-run
+variation.
 
 ========  ==========================================================
 DET001    wall-clock access (``time.time``, ``perf_counter_ns``,
@@ -51,7 +55,8 @@ __all__ = [
 
 #: Packages under ``src/repro/`` the lint guards by default.
 DEFAULT_LINT_PACKAGES = ("sim", "core_network", "gateway", "vn", "ledger",
-                         "generate")
+                         "generate", "platform", "apps", "faults",
+                         "systems", "messaging", "spec", "automata")
 
 #: Packages linted with the relaxed DET002 mode: seeded
 #: ``random.Random(seed)`` is allowed, the global stream is not.

@@ -5,7 +5,6 @@ without writing any code:
 
 * ``car``        — run the full automotive system (skid trip) and print
   the cross-DAS event timeline plus per-gateway statistics.
-* ``roof``       — the Fig. 6 sliding-roof gateway demo (XML-driven).
 * ``audit``      — build the car and print its encapsulation audit.
 * ``inventory``  — print the E10 architecture resource table.
 * ``version``    — print the package version.
@@ -105,13 +104,6 @@ def _cmd_car(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_roof(args: argparse.Namespace) -> int:
-    from examples import sliding_roof_xml  # type: ignore[import-not-found]
-
-    sliding_roof_xml.main()
-    return 0
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .apps import CarConfig, build_car
     from .systems import EncapsulationAudit
@@ -125,29 +117,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_inventory(args: argparse.Namespace) -> int:
     from .analysis import Table
-    from .systems import ArchitectureModel
+    from .systems import ArchitectureModel, automotive_requirements
 
-    # Import the E10 demand model lazily; fall back to a local copy so
-    # the CLI works without the benchmarks directory installed.
-    try:
-        sys.path.insert(0, "benchmarks")
-        from test_e10_architectures import automotive_requirements  # type: ignore
-        req = automotive_requirements()
-    except Exception:
-        from .systems import DASRequirement, SystemRequirements
-
-        req = SystemRequirements(
-            dass=(
-                DASRequirement("abs", jobs=4, sensed_quantities=("wheel-speed",)),
-                DASRequirement("navigation", jobs=3, sensed_quantities=("gps",),
-                               importable=("wheel-speed",)),
-            ),
-            sensors_per_quantity={"wheel-speed": 4, "gps": 1},
-        )
     table = Table("architecture resource inventories",
                   ["architecture", "ECUs", "networks", "wires", "connectors",
                    "sensors", "gateways"])
-    for inv in ArchitectureModel(req).all_inventories():
+    for inv in ArchitectureModel(automotive_requirements()).all_inventories():
         table.add_row(*inv.as_row())
     table.print()
     return 0
@@ -761,9 +736,6 @@ def main(argv: list[str] | None = None) -> int:
                             "to-wall time ratio (e.g. 100 = 100x faster "
                             "than real time; default: unpaced simulation)")
     p_car.set_defaults(func=_cmd_car)
-
-    p_roof = sub.add_parser("roof", help="Fig. 6 sliding-roof XML demo")
-    p_roof.set_defaults(func=_cmd_roof)
 
     p_audit = sub.add_parser("audit", help="encapsulation audit of the car")
     p_audit.add_argument("--seed", type=int, default=0)

@@ -39,7 +39,7 @@ latency that E5 measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..errors import GatewayError
 from ..messaging import MessageInstance, MessageType, NameMapping, Semantics
@@ -125,7 +125,6 @@ class VirtualGateway(Process):
         self._monitors: dict[tuple[str, str], MessageMonitor] = {}
         self._conversions: list[tuple[DerivedElement, ConversionState, str]] = []
         self._halted: set[tuple[str, str]] = set()
-        self._rt_mons: tuple[tuple[tuple[str, str], str, MessageMonitor], ...] | None = None
         self._rt_halted_fp: tuple[tuple[str, str], ...] = ()
         self._started_rules = False
         # statistics ----------------------------------------------------
@@ -140,14 +139,15 @@ class VirtualGateway(Process):
         self._m_blocked = m.counter("gateway.blocks")
         self._m_restarts = m.counter("gateway.restarts")
         sim.register_checkable(self)
-        # Gateway redirection reacts to message arrivals — a
-        # fingerprinted dynamic round-template participant:
-        # steady-state periodic redirection repeats at the hyperperiod,
-        # and the fingerprint (monitor locations and clock cells,
-        # repository availability classes, halted rules) forces any
+        # Gateway redirection reacts to message arrivals — steady-state
+        # periodic redirection repeats at the hyperperiod.  The gateway,
+        # its repository and each temporal monitor are round-template
+        # participants whose fingerprints (halted rules, availability
+        # classes, monitor locations and clock cells) force any
         # transient — restarts, expiring images, queued events — to run
         # live.
-        sim.round_template.register_dynamic(self.name, self)
+        sim.round_template.register_participant(self)
+        sim.round_template.register_participant(self.repository)
 
     # ------------------------------------------------------------------
     # configuration
@@ -342,7 +342,7 @@ class VirtualGateway(Process):
             key = (rule.src_side, rule.src)
             if key in self._monitors:
                 continue
-            self._monitors[key] = MessageMonitor(
+            monitor = MessageMonitor(
                 self.sim, automaton,
                 name=f"{self.name}.monitor.{rule.src}",
                 on_error=lambda m, k=key: self._on_monitor_error(k, m),
@@ -353,12 +353,14 @@ class VirtualGateway(Process):
                     "requ": self._fn_requ,
                 },
             )
+            self._monitors[key] = monitor
             # Timeout polls are legitimate in-round events for the
             # round-template engine (the ``{gateway}.restart`` label
             # stays unregistered on purpose: restart rounds run live).
             self.sim.round_template.register_labels(
                 {f"{self.name}.monitor.{rule.src}.poll"}
             )
+            self.sim.round_template.register_participant(monitor)
 
     # ------------------------------------------------------------------
     # reception pipeline
@@ -589,22 +591,6 @@ class VirtualGateway(Process):
     # ------------------------------------------------------------------
     # round-template participant protocol (see repro.sim.round_template)
     # ------------------------------------------------------------------
-    def _monitor_prefix(self, key: tuple[str, str]) -> str:
-        return f"m.{key[0]}.{key[1]}."
-
-    def _rt_monitors(self) -> tuple[tuple[tuple[str, str], str, MessageMonitor], ...]:
-        """(key, delta prefix, monitor) in sorted-key order, cached —
-        the participant hooks run every round boundary and re-sorting
-        a never-changing dict dominates their cost.  Monitors are only
-        ever added (at setup), so a length check invalidates."""
-        mons = self._rt_mons
-        if mons is None or len(mons) != len(self._monitors):
-            mons = self._rt_mons = tuple(
-                (key, self._monitor_prefix(key), self._monitors[key])
-                for key in sorted(self._monitors)
-            )
-        return mons
-
     def rt_state(self) -> dict[str, int]:
         state = {
             "received": self.instances_received,
@@ -619,22 +605,10 @@ class VirtualGateway(Process):
             state[f"r{i}.blocked_monitor"] = rule.blocked_monitor
             state[f"r{i}.blocked_halted"] = rule.blocked_halted
             state[f"r{i}.skipped"] = rule.skipped_unrequested
-        for _key, prefix, monitor in self._rt_monitors():
-            for name, v in monitor.rt_counters().items():
-                state[prefix + name] = v
-        for name, v in self.repository.rt_counters().items():
-            state["rep." + name] = v
         return state
 
     def rt_check(self, delta: dict[str, int]) -> bool:
-        # Plain monotonic statistics plus forward-moving timestamps
-        # (repository t_update, monitor clock resets).  A negative delta
-        # is a re-anchoring event, an astronomical one a None->value
-        # sentinel transition — both discrete, both unreplayable.
-        for d in delta.values():
-            if d < 0 or d > 2**60:
-                return False
-        return True
+        return all(d >= 0 for d in delta.values())
 
     def rt_advance(self, delta: dict[str, int], k: int) -> None:
         self.instances_received += delta["received"] * k
@@ -648,9 +622,6 @@ class VirtualGateway(Process):
             rule.blocked_monitor += delta[f"r{i}.blocked_monitor"] * k
             rule.blocked_halted += delta[f"r{i}.blocked_halted"] * k
             rule.skipped_unrequested += delta[f"r{i}.skipped"] * k
-        for _key, prefix, monitor in self._rt_monitors():
-            monitor.rt_advance(delta, k, prefix)
-        self.repository.rt_advance(delta, k, "rep.")
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
         # Value filters and conditional imports make forward/block
@@ -659,25 +630,7 @@ class VirtualGateway(Process):
         for rule in self.rules:
             if len(rule.filters) or rule.conditional_import:
                 return None
-        fp: list[Any] = [self._rt_halted_fp]
-        for key, _prefix, monitor in self._rt_monitors():
-            mfp = monitor.rt_fingerprint(boundary, round_len)
-            if mfp is None:
-                return None
-            fp.append((key[0], key[1]) + mfp)
-        rfp = self.repository.rt_fingerprint(boundary, round_len)
-        if rfp is None:
-            return None
-        fp.append(rfp)
-        return tuple(fp)
-
-    def rt_headroom(self, boundary: int, round_len: int) -> int | None:
-        best = self.repository.rt_headroom(boundary, round_len)
-        for _key, _prefix, monitor in self._rt_monitors():
-            h = monitor.rt_headroom(boundary, round_len)
-            if h is not None and (best is None or h < best):
-                best = h
-        return best
+        return self._rt_halted_fp
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -235,8 +235,10 @@ class MessageMonitor:
                     "*": lhs * rhs, "/": lhs / rhs if rhs else None}[expr.op]
         return None
 
-    def rt_counters(self) -> dict[str, int]:
-        """This monitor's share of the gateway's ``rt_state``."""
+    # ------------------------------------------------------------------
+    # round-template participant protocol (see repro.sim.round_template)
+    # ------------------------------------------------------------------
+    def rt_state(self) -> dict[str, int]:
         rt = self.runtime
         out = {
             "accepted": self.accepted,
@@ -248,14 +250,19 @@ class MessageMonitor:
             out[f"clk.{c}"] = rt._clock_resets[c]
         return out
 
-    def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
+    def rt_check(self, delta: dict[str, int]) -> bool:
+        # Monotonic statistics plus clock-reset instants, which only
+        # move forward; a negative delta re-anchors a clock — discrete.
+        return all(0 <= d <= 2**60 for d in delta.values())
+
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
         rt = self.runtime
-        self.accepted += delta[prefix + "accepted"] * k
-        self.violations += delta[prefix + "violations"] * k
-        rt.transitions_taken += delta[prefix + "transitions"] * k
-        rt.error_count += delta[prefix + "errors"] * k
+        self.accepted += delta["accepted"] * k
+        self.violations += delta["violations"] * k
+        rt.transitions_taken += delta["transitions"] * k
+        rt.error_count += delta["errors"] * k
         for c in sorted(rt._clock_resets):
-            rt._clock_resets[c] += delta[prefix + "clk." + c] * k
+            rt._clock_resets[c] += delta["clk." + c] * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
         """Behavioural state at a round boundary, or None to veto.

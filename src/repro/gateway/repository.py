@@ -265,11 +265,11 @@ class GatewayRepository:
         return best
 
     # ------------------------------------------------------------------
-    # round-template support (consumed by the owning gateway's hooks)
+    # round-template participant protocol (see repro.sim.round_template)
     # ------------------------------------------------------------------
     #: sentinel standing in for a never-stored ``t_update`` in integer
     #: round-template state; a None->timestamp transition then shows up
-    #: as an astronomically large delta the gateway's rt_check rejects.
+    #: as an astronomically large delta :meth:`rt_check` rejects.
     RT_T_UNSET = -(2**62)
 
     def _rt_sorted(self) -> tuple[tuple[StateEntry, ...], tuple[EventEntry, ...]]:
@@ -283,7 +283,7 @@ class GatewayRepository:
             )
         return entries
 
-    def rt_counters(self) -> dict[str, int]:
+    def rt_state(self) -> dict[str, int]:
         states, events = self._rt_sorted()
         out = {"stale_blocks": self.stale_blocks}
         for e in states:
@@ -296,18 +296,24 @@ class GatewayRepository:
             out[f"e.{ev.name}.drops"] = ev.drops
         return out
 
-    def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
+    def rt_check(self, delta: dict[str, int]) -> bool:
+        # Monotonic statistics plus ``t_update`` timestamps, which only
+        # move forward: a negative delta is a re-anchoring event, an
+        # astronomical one the unset-sentinel transition.
+        return all(0 <= d <= 2**60 for d in delta.values())
+
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
         states, events = self._rt_sorted()
-        self.stale_blocks += delta[prefix + "stale_blocks"] * k
+        self.stale_blocks += delta["stale_blocks"] * k
         for e in states:
-            e.stores += delta[prefix + f"s.{e.name}.stores"] * k
-            dt = delta[prefix + f"s.{e.name}.t"]
+            e.stores += delta[f"s.{e.name}.stores"] * k
+            dt = delta[f"s.{e.name}.t"]
             if dt and e.t_update is not None:
                 e.t_update += dt * k
         for ev in events:
-            ev.stores += delta[prefix + f"e.{ev.name}.stores"] * k
-            ev.takes += delta[prefix + f"e.{ev.name}.takes"] * k
-            ev.drops += delta[prefix + f"e.{ev.name}.drops"] * k
+            ev.stores += delta[f"e.{ev.name}.stores"] * k
+            ev.takes += delta[f"e.{ev.name}.takes"] * k
+            ev.drops += delta[f"e.{ev.name}.drops"] * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
         """Behavioural repository state at a round boundary (None vetoes).

@@ -49,6 +49,7 @@ class Job:
         self.messages_handled = 0
         self._m_activations = sim.metrics.counter("job.activations")
         partition.bind_job(self)
+        sim.round_template.register_participant(self)
 
     # ------------------------------------------------------------------
     # link management
@@ -103,26 +104,26 @@ class Job:
         """Override: react to a delivered message instance."""
 
     # ------------------------------------------------------------------
-    # round-template support (aggregated by the owning partition)
+    # round-template participant protocol (see repro.sim.round_template)
     # ------------------------------------------------------------------
-    def rt_counters(self) -> dict[str, int]:
+    def rt_state(self) -> dict[str, int]:
         """Integer statistics whose per-round delta may be extrapolated.
         Subclasses extend the dict; every key must move monotonically."""
         return {"act": self.activations, "msg": self.messages_handled}
 
-    def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
-        self.activations += delta[prefix + "act"] * k
-        self.messages_handled += delta[prefix + "msg"] * k
+    def rt_check(self, delta: dict[str, int]) -> bool:
+        return all(d >= 0 for d in delta.values())
+
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
+        self.activations += delta["act"] * k
+        self.messages_handled += delta["msg"] * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
         """Behavioural state at a round boundary; None (the default)
         vetoes fast-forward — a job that has not declared its hidden
-        control state replayable always runs live."""
-        return None
-
-    def rt_headroom(self, boundary: int, round_len: int) -> int | None:
-        """Upper bound on rounds of phase-repeating behaviour (None =
-        unbounded); override alongside :meth:`rt_fingerprint`."""
+        control state replayable always runs live.  Overrides lead with
+        ``int(self.active)``: a halted job neither steps nor handles
+        messages, and :meth:`halt` alone punctures no template."""
         return None
 
     # ------------------------------------------------------------------

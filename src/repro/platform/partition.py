@@ -105,9 +105,10 @@ class Partition:
         m = sim.metrics
         self._m_windows = m.counter("partition.windows")
         self._m_deferred = m.histogram("partition.deferred_per_window")
-        # Window execution is demand-shaped by job state: a fingerprinted
-        # dynamic round-template participant.
-        sim.round_template.register_dynamic(f"partition.{name}", self)
+        # Deferred work makes a window's execution demand-shaped: a
+        # fingerprinted round-template participant (its jobs register
+        # themselves).
+        sim.round_template.register_participant(self)
 
     # ------------------------------------------------------------------
     # membership
@@ -203,54 +204,24 @@ class Partition:
     # round-template participant protocol (see repro.sim.round_template)
     # ------------------------------------------------------------------
     def rt_state(self) -> dict[str, int]:
-        state = {
+        return {
             "windows": self.windows_executed,
             "deferred": self.deferred_executed,
             "violations": self.spatial_violations,
         }
-        for i, job in enumerate(self.jobs):
-            prefix = f"j{i}."
-            for key, v in job.rt_counters().items():
-                state[prefix + key] = v
-        return state
 
     def rt_check(self, delta: dict[str, int]) -> bool:
-        # Monotonic statistics throughout (jobs promise the same for
-        # their rt_counters extensions).
         return all(d >= 0 for d in delta.values())
 
     def rt_advance(self, delta: dict[str, int], k: int) -> None:
         self.windows_executed += delta["windows"] * k
         self.deferred_executed += delta["deferred"] * k
         self.spatial_violations += delta["violations"] * k
-        for i, job in enumerate(self.jobs):
-            job.rt_advance(delta, k, f"j{i}.")
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
-        """Aggregate of the jobs' behavioural states (None vetoes).
-
-        Deferred work queued for the next window carries payload
-        identity bulk replay cannot reproduce: veto.  A job without a
-        replayable fingerprint (the base-class default) vetoes too, so
-        partitions hosting unported application code always run live.
-        """
-        if self._inbox:
-            return None
-        cells = []
-        for job in self.jobs:
-            jfp = job.rt_fingerprint(boundary, round_len)
-            if jfp is None:
-                return None
-            cells.append((job.name, int(job.active)) + jfp)
-        return tuple(cells)
-
-    def rt_headroom(self, boundary: int, round_len: int) -> int | None:
-        best: int | None = None
-        for job in self.jobs:
-            h = job.rt_headroom(boundary, round_len)
-            if h is not None and (best is None or h < best):
-                best = h
-        return best
+        """Deferred work queued for the next window carries payload
+        identity bulk replay cannot reproduce: veto."""
+        return None if self._inbox else ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Partition {self.name!r} das={self.das!r} jobs={len(self.jobs)}>"

@@ -14,12 +14,14 @@ round, not per simulator.  Templates live in a **bank** keyed by the
 *phase-normalized* heap signature plus a participant **fingerprint**,
 so rounds that recur at different offsets against the round grid
 (drifting producers, window orbits) re-arm by re-timestamping the
-template deltas against the observed boundary phase.  ET networks and
-gateways register as *dynamic participants*
-(:meth:`RoundTemplateEngine.register_dynamic`): their per-round state
-deltas are checked and extrapolated like any other participant's, and
-their fingerprints veto rounds whose hidden state (pending ET queues,
-message freshness) does not exactly match the compiled occurrence.
+template deltas against the observed boundary phase.  Every stateful
+model object — controllers, buses, guardians, virtual networks,
+partitions, jobs, gateways, their repositories and temporal monitors —
+registers itself as one **participant**
+(:meth:`RoundTemplateEngine.register_participant`): its per-round state
+delta is checked and extrapolated, and its fingerprint vetoes rounds
+whose hidden state (pending ET queues, message freshness, a halted job)
+does not exactly match the compiled occurrence.
 
 How it works
 ------------
@@ -43,24 +45,23 @@ counters (numpy delta vector), histogram buckets
 (:meth:`~repro.sim.metrics.Histogram.bulk_apply`), ``events_executed``,
 and every participant's statistics by ``k`` times the per-round delta,
 advance the pending heap events by their observed successor strides,
-and skip ahead.  Byte-for-byte trace parity is *checked, not assumed*:
-templates are built from observed equality, the boundary signature and
-fingerprint are re-verified before every replay (the bank lookup *is*
-that verification), and any deviation — an unregistered event, a
-non-linear state delta, a fingerprint mismatch — falls back to
-event-by-event execution for that round.
+and skip ahead.  Only *periodic* templates — every pending chain
+advances by exactly one round length — replay ``k`` rounds at once;
+any other template replays one round at a time, advancing each pending
+event by its own observed stride.  Byte-for-byte trace parity is
+*checked, not assumed*: templates are built from observed equality, the
+boundary signature and fingerprint are re-verified before every replay
+(the bank lookup *is* that verification), and any deviation — an
+unregistered event, a non-linear state delta, a fingerprint mismatch —
+falls back to event-by-event execution for that round.
 
-Interleaving-source contract
-----------------------------
-Dynamic activity that is *not* part of the periodic round must either
+Dynamic activity
+----------------
+Activity that is *not* part of the periodic round must either
 
-* register a permanent **interleaving source**
-  (:meth:`RoundTemplateEngine.add_interleaving_source`) — a true
-  unknown, disabling the fast path for the whole simulator, or
-* register as a **dynamic participant**
-  (:meth:`RoundTemplateEngine.register_dynamic`) — ET virtual networks,
-  gateways, and partitions do this at construction, and are
-  delta-checked and fingerprinted round by round, or
+* be a **participant** whose fingerprint vetoes the rounds it makes
+  irregular — ET virtual networks veto on queued chunks, partitions on
+  deferred work, jobs on due state changes, or
 * **puncture** the fast path at the instant the dynamics change
   (:meth:`RoundTemplateEngine.puncture`) — the fault injector does this
   on every activation/deactivation, which drops every compiled template
@@ -151,10 +152,7 @@ class RoundTemplateEngine:
         self._cycle_periods: list[int] = []
         self._label_periods: list[int] = []
         self._participants: list[Any] = []
-        self._dynamics: list[tuple[str, Any]] = []
         self._labels: set[str] = set()
-        self._sources: set[str] = set()
-        self._parts_cache: list[Any] | None = None
         self._hooks_cache: tuple[list[Any], list[Any]] | None = None
         self._boundary = 0
         self._capture: list[TraceRecord] = []
@@ -184,12 +182,6 @@ class RoundTemplateEngine:
         return self._active
 
     @property
-    def engaged(self) -> bool:
-        """Could the fast path run right now (active, no blocking
-        interleaving sources)?"""
-        return self._active and not self._sources
-
-    @property
     def next_boundary(self) -> int:
         return self._boundary
 
@@ -198,27 +190,14 @@ class RoundTemplateEngine:
         return self._round_len
 
     @property
-    def _eff_parts(self) -> list[Any]:
-        """Participants in delta order: explicit registrations first,
-        then dynamic participants in registration order."""
-        parts = self._parts_cache
-        if parts is None:
-            parts = list(self._participants)
-            for _name, obj in self._dynamics:
-                if all(existing is not obj for existing in parts):
-                    parts.append(obj)
-            self._parts_cache = parts
-        return parts
-
-    @property
     def _part_hooks(self) -> tuple[list[Any], list[Any]]:
         """Bound ``rt_fingerprint`` / ``rt_headroom`` methods of every
-        participant that has one, cached alongside :attr:`_eff_parts`
+        participant that has one, cached until the next registration
         (the getattr probe per participant per boundary is measurable
         on hot runs)."""
         hooks = self._hooks_cache
         if hooks is None:
-            parts = self._eff_parts
+            parts = self._participants
             fps = [fn for fn in (getattr(p, "rt_fingerprint", None)
                                  for p in parts) if fn is not None]
             hrs = [fn for fn in (getattr(p, "rt_headroom", None)
@@ -254,24 +233,11 @@ class RoundTemplateEngine:
         self._touch_config()
 
     def register_participant(self, obj: Any) -> None:
-        """Register an object implementing the participant protocol."""
+        """Register an object implementing the participant protocol;
+        deltas and fingerprints follow registration order."""
         if all(existing is not obj for existing in self._participants):
             self._participants.append(obj)
         self._touch_config()
-
-    def register_dynamic(self, name: str, obj: Any) -> None:
-        """Register an inherently event-triggered subsystem (ET virtual
-        network, gateway, partition): delta-checked and fingerprinted
-        round by round like any other participant."""
-        if all(existing is not obj for _n, existing in self._dynamics):
-            self._dynamics.append((name, obj))
-        self._touch_config()
-
-    def add_interleaving_source(self, name: str) -> None:
-        """Permanently disable the fast path for this simulator (a true
-        unknown the engine cannot model)."""
-        self._sources.add(name)
-        self._reset()
 
     def puncture(self) -> None:
         """Drop every compiled template and restart recording (called at
@@ -294,7 +260,6 @@ class RoundTemplateEngine:
 
     def _touch_config(self) -> None:
         """Registration changed mid-run: drop state, re-derive boundary."""
-        self._parts_cache = None
         self._hooks_cache = None
         self._recompute_round_len()
         self._reset()
@@ -331,7 +296,7 @@ class RoundTemplateEngine:
         mutated between runs (tests crash controllers, tweak queues), so
         a template from a previous run is never trusted.
         """
-        if not self._active or self._round_len <= 0 or self._sources:
+        if not self._active or self._round_len <= 0:
             return None
         self._reset()
         sim = self.sim
@@ -453,7 +418,7 @@ class RoundTemplateEngine:
                              tuple(h.buckets))
                       for name, h in sim.metrics._histograms.items()},
             "events": sim.events_executed,
-            "parts": [p.rt_state() for p in self._eff_parts],
+            "parts": [p.rt_state() for p in self._participants],
         }
 
     def _delta(self, prev: dict, cur: dict) -> dict | None:
@@ -488,7 +453,7 @@ class RoundTemplateEngine:
             hist_deltas[name] = (hc - p[0], htot - p[1], bucket_delta)
         part_deltas: list[dict[str, int]] = []
         for p_prev, p_cur, part in zip(prev["parts"], cur["parts"],
-                                       self._eff_parts):
+                                       self._participants):
             if tuple(p_prev) != tuple(p_cur):
                 return None  # participant key set changed
             d = {key: v - p_prev[key] for key, v in p_cur.items()}
@@ -504,7 +469,7 @@ class RoundTemplateEngine:
         }
 
     def _make_tpl(self, delta: dict, protos: tuple, mbase: int,
-                  uniform: int | None, strides: tuple) -> dict:
+                  strides: tuple) -> dict:
         return {
             "protos": protos,
             "ticks": delta["ticks"],
@@ -513,7 +478,7 @@ class RoundTemplateEngine:
             "events": delta["events"],
             "parts": delta["parts"],
             "mbase": mbase,
-            "uniform": uniform,
+            "periodic": all(s == self._round_len for s in strides),
             "strides": strides,
         }
 
@@ -610,28 +575,21 @@ class RoundTemplateEngine:
         """One fully observed round for ``key`` just completed (entry at
         ``entry_B``, exit now): compile it, or pair it with an earlier
         occurrence when record prototypes are needed."""
-        L = self._round_len
         near = psnap["near"]
         strides = self._successor_strides(near)
         if strides is None:
             self.failed_recordings += 1
             return
-        if strides:
-            s0 = strides[0]
-            uniform: int | None = s0 if all(s == s0 for s in strides) else None
-        else:
-            uniform = L
         phi = near[0][0] - entry_B if near else 0
         if not self.sim.trace.wants_records:
             # Counter-mode run: nothing to prototype — one observed
             # round whose delta passed every linearity check compiles
             # directly (the fingerprint guards hidden-state reuse).
-            self._bank[key] = self._make_tpl(delta, (), entry_B, uniform,
-                                             tuple(strides))
+            self._bank[key] = self._make_tpl(delta, (), entry_B, tuple(strides))
             self.recordings += 1
             return
         cur = {"delta": delta, "records": records, "B": entry_B,
-               "phi": phi, "uniform": uniform, "strides": list(strides)}
+               "phi": phi, "strides": list(strides)}
         cand = self._cands.get(key)
         if cand is None:
             self._cands[key] = cur
@@ -652,8 +610,7 @@ class RoundTemplateEngine:
                 or d1["hists"] != d2["hists"] or d1["events"] != d2["events"]
                 or d1["parts"] != d2["parts"]):
             return None
-        if (cand["uniform"] != cur["uniform"]
-                or cand["strides"] != cur["strides"]):
+        if cand["strides"] != cur["strides"]:
             return None
         r1s, r2s = cand["records"], cur["records"]
         if len(r1s) != len(r2s):
@@ -665,15 +622,7 @@ class RoundTemplateEngine:
                                     cur["B"], cur["phi"], n)
         if protos is None:
             return None
-        u = cur["uniform"]
-        if (protos and u is not None and u < self._round_len
-                and max(p[0] for p in protos) >= u):
-            # Shrinking-phase chains (s < L) whose records span past the
-            # per-round stride would interleave across replayed rounds;
-            # bulk emission could not keep them time-ordered.
-            return None
-        return self._make_tpl(d2, protos, cur["B"], cur["uniform"],
-                              tuple(cur["strides"]))
+        return self._make_tpl(d2, protos, cur["B"], tuple(cur["strides"]))
 
     def _replay(self, tpl: dict, near: tuple, far_min: int | None,
                    B: int, t: int) -> int:
@@ -684,19 +633,10 @@ class RoundTemplateEngine:
         if k < 1:
             return 0
         phi = near[0][0] - B if near else 0
-        s = tpl["uniform"]
-        if s is None:
+        if not tpl["periodic"]:
+            # Chains off the round grid drift against it: one round at
+            # a time, each pending event advanced by its own stride.
             k = 1
-        elif s > L:
-            # Drifting chains gain (s - L) of phase per round; stop
-            # before the earliest event would slip past the round end.
-            k = min(k, (L - 1 - phi) // (s - L))
-        elif s < L:
-            # Phase shrinks by (L - s) per round; stop before an event
-            # would fall behind its boundary (double-fire in one round).
-            k = min(k, phi // (L - s))
-        if k < 1:
-            return 0
         # Model-driven participants bound how far extrapolation may run
         # past their last fingerprint check (rt_headroom); 0 forces the
         # round to run live.
@@ -732,10 +672,10 @@ class RoundTemplateEngine:
             # need no rt_advance call (every implementation is a strict
             # ``+= delta * k`` accumulator); precompute the survivors.
             # Registration changes drop the whole bank, so the pairing
-            # with _eff_parts cannot go stale while "_np" lives.
+            # with _participants cannot go stale while "_np" lives.
             "padv": [
                 (part, delta)
-                for part, delta in zip(self._eff_parts, tpl["parts"])
+                for part, delta in zip(self._participants, tpl["parts"])
                 if any(delta.values())
             ],
         }
@@ -762,13 +702,7 @@ class RoundTemplateEngine:
         record_sinks = trace._record_sinks if trace.enabled else ()
         protos = tpl["protos"]
         if record_sinks and protos:
-            # Each replayed round's records sit at its chains' phase:
-            # uniform chains advance by the observed successor stride
-            # per round (== L for perfectly periodic rounds, != L for
-            # drifting producers), so the per-round base advances by
-            # that stride, not by the round length.
-            step = tpl["uniform"] if tpl["uniform"] is not None else L
-            bases = B + phi + step * np.arange(k, dtype=np.int64)
+            bases = B + phi + L * np.arange(k, dtype=np.int64)
             times = np.add.outer(bases, npd["nrel"]).tolist()
             m0 = (B - tpl["mbase"]) // L
             for j in range(k):
@@ -812,13 +746,12 @@ class RoundTemplateEngine:
             part.rt_advance(delta, k)
 
         # 6. pending events advance by their observed successor strides:
-        #    uniformly (one heap shift) when every chain advances by the
-        #    same amount per round, per-event otherwise.
+        #    uniformly (one heap shift of k rounds) on a periodic
+        #    template, per-event otherwise.
         queue = sim._queue
         horizon = B + L
-        s = tpl["uniform"]
-        if s is not None:
-            shift = k * s
+        if tpl["periodic"]:
+            shift = k * L
             for tm, _pr, _sq, ev in queue._heap:
                 if ev.cancelled or tm >= horizon:
                     continue
@@ -852,8 +785,6 @@ class RoundTemplateEngine:
         return {
             "active": self._active,
             "round_length_ns": self._round_len,
-            "interleaving_sources": sorted(self._sources),
-            "dynamic_sources": sorted(name for name, _obj in self._dynamics),
             "rounds_replayed": self.rounds_replayed,
             "replays": self.replays,
             "recordings": self.recordings,
@@ -863,7 +794,6 @@ class RoundTemplateEngine:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("dormant" if not self._active
-                 else "blocked" if self._sources else "armed")
+        state = "armed" if self._active else "dormant"
         return (f"<RoundTemplateEngine {state} L={self._round_len} "
                 f"replayed={self.rounds_replayed} bank={len(self._bank)}>")

@@ -58,10 +58,9 @@ class SimulatedRuntime(Runtime):
         drain bound is held at the next round boundary; each time the
         queue is drained up to a boundary the engine gets a chance to
         record or bulk-replay whole rounds from a bank of
-        phase-normalized templates that may have been preloaded from
-        the persistent store (see :mod:`repro.sim.round_template`).  A
-        dormant or disengaged engine leaves this loop byte-for-byte
-        identical to plain batched execution.
+        phase-normalized templates (see :mod:`repro.sim.round_template`).
+        A dormant engine leaves this loop byte-for-byte identical to
+        plain batched execution.
         """
         sim = self._bound()
         sim._guard_reentry()
@@ -92,7 +91,7 @@ class SimulatedRuntime(Runtime):
                     executed = 0
                     engine.on_boundary(t)
                     nb = engine.next_boundary
-                    if not engine.engaged or nb > t:
+                    if nb > t:
                         engine = None
                         bound = t
                     else:

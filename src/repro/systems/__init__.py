@@ -14,6 +14,7 @@ from .resources import (
     DASRequirement,
     ResourceInventory,
     SystemRequirements,
+    automotive_requirements,
     federated_inventory,
     integrated_inventory,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "SystemRequirements",
     "ResourceInventory",
     "ArchitectureModel",
+    "automotive_requirements",
     "federated_inventory",
     "integrated_inventory",
 ]

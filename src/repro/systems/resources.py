@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from ..errors import ConfigurationError
 
 __all__ = ["DASRequirement", "SystemRequirements", "ResourceInventory", "ArchitectureModel",
-           "federated_inventory", "integrated_inventory"]
+           "automotive_requirements", "federated_inventory", "integrated_inventory"]
 
 
 @dataclass(frozen=True)
@@ -193,3 +193,31 @@ class ArchitectureModel:
             integrated_inventory(self.req, coupling="naive"),
             integrated_inventory(self.req, coupling="gateways"),
         ]
+
+
+def automotive_requirements() -> SystemRequirements:
+    """The paper's automotive suite (ABS, X-by-wire, navigation,
+    Pre-Safe, comfort, dashboard) as demand on hardware."""
+    return SystemRequirements(
+        dass=(
+            DASRequirement("abs", jobs=4,
+                           sensed_quantities=("wheel-speed", "yaw-rate",
+                                              "brake-pressure")),
+            DASRequirement("xbywire", jobs=4,
+                           sensed_quantities=("pedal-position",),
+                           importable=("wheel-speed",)),
+            DASRequirement("navigation", jobs=3,
+                           sensed_quantities=("gps",),
+                           importable=("wheel-speed", "yaw-rate")),
+            DASRequirement("presafe", jobs=2,
+                           importable=("yaw-rate", "brake-pressure")),
+            DASRequirement("comfort", jobs=4,
+                           sensed_quantities=("roof-position",)),
+            DASRequirement("dashboard", jobs=2,
+                           importable=("roof-position", "wheel-speed")),
+        ),
+        jobs_per_ecu=4,
+        sensors_per_quantity={"wheel-speed": 4, "gps": 1, "yaw-rate": 1,
+                              "brake-pressure": 1, "pedal-position": 2,
+                              "roof-position": 1},
+    )

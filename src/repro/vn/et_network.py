@@ -59,10 +59,10 @@ class ETVirtualNetwork(VirtualNetworkBase):
         self._m_sends = m.counter("vn.et.sends")
         self._m_drops = m.counter("vn.et.send_drops")
         self._m_depth = m.histogram("vn.et.queue_depth")
-        # ET sends are demand-driven: a fingerprinted dynamic
-        # round-template participant (steady-state periodic senders
-        # repeat at the hyperperiod; queued chunks veto).
-        sim.round_template.register_dynamic(f"etvn.{das}", self)
+        # ET sends are demand-driven: a fingerprinted round-template
+        # participant (steady-state periodic senders repeat at the
+        # hyperperiod; queued chunks veto).
+        sim.round_template.register_participant(self)
 
     # ------------------------------------------------------------------
     # send path (sender-push)

@@ -107,7 +107,9 @@ class TestShippedCore:
 
     def test_default_packages_cover_the_guarded_packages(self):
         assert DEFAULT_LINT_PACKAGES == (
-            "sim", "core_network", "gateway", "vn", "ledger", "generate")
+            "sim", "core_network", "gateway", "vn", "ledger", "generate",
+            "platform", "apps", "faults", "systems", "messaging", "spec",
+            "automata")
         assert DEFAULT_LINT_FILES == ("runner/telemetry.py",)
 
     def test_default_roots_include_ledger_and_telemetry(self):

@@ -15,10 +15,15 @@ def test_version(capsys):
     assert out == __version__
 
 
-def test_inventory(capsys):
+def test_inventory(capsys, monkeypatch, tmp_path):
+    # The table must not depend on the working directory.
+    monkeypatch.chdir(tmp_path)
     assert main(["inventory"]) == 0
     out = capsys.readouterr().out
-    assert "federated" in out
+    federated = next(line for line in out.splitlines()
+                     if line.startswith("federated "))
+    assert [c.strip() for c in federated.split("|")][1:6] == [
+        "6", "6", "32", "64", "26"]
     assert "integrated + virtual gateways" in out
 
 

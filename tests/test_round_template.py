@@ -82,14 +82,82 @@ def _run_registry(name: str) -> dict:
 
 
 def test_gateway_pipeline_arms_but_unported_jobs_veto() -> None:
-    """ET virtual networks and gateways are dynamic participants, not
-    permanent blockers — the gateway pipeline arms.  Its jobs never
-    declare a replayable fingerprint, though, so every boundary is
-    vetoed and every round still runs live."""
+    """ET virtual networks and gateways are participants, not permanent
+    blockers — the gateway pipeline arms.  Its jobs never declare a
+    replayable fingerprint, though, so every boundary is vetoed and
+    every round still runs live (nothing is even recorded)."""
     stats = _run_registry("gw-pipeline-smoke")
     assert stats["active"]
-    assert stats["interleaving_sources"] == []
+    assert stats["recordings"] == 0
     assert stats["replays"] == 0
+
+
+def test_jobs_monitors_and_repositories_are_participants() -> None:
+    """Every job, gateway repository and temporal monitor registers
+    with the engine itself — no container aggregates them."""
+    from repro.gateway.gateway import VirtualGateway
+    from repro.platform import Job, Partition
+
+    sim = build_scenario(REGISTRY["car-smoke"])
+    sim.trace.close()
+    parts = sim.round_template._participants
+    assert len({id(p) for p in parts}) == len(parts)
+    partitions = [p for p in parts if isinstance(p, Partition)]
+    jobs = [p for p in parts if isinstance(p, Job)]
+    gateways = [p for p in parts if isinstance(p, VirtualGateway)]
+    assert partitions and gateways
+    assert {id(j) for pt in partitions for j in pt.jobs} == {id(j) for j in jobs}
+    for gw in gateways:
+        assert any(p is gw.repository for p in parts)
+        for monitor in gw._monitors.values():
+            assert any(p is monitor for p in parts)
+    assert any(gw._monitors for gw in gateways)
+
+
+def _run_with_halted_job(fast: bool) -> tuple[dict, int, int]:
+    """car-baseline with its dashboard consumer halted mid-run by a
+    plain ``job.halt()`` (no fault injector, hence no puncture).  The
+    2 s drive matters: templates banked before the halt recur after it
+    (in car-smoke none do, so a missing ``active`` key would pass)."""
+    from repro.runner.executor import trace_digest
+    from repro.sim import MS
+
+    spec = REGISTRY["car-baseline"]
+    if not fast:
+        spec = spec.with_param("round_template", False)
+    sim = build_scenario(spec)
+    engine = sim.round_template
+    job = next(p for p in engine._participants
+               if getattr(p, "name", None) == "display")
+    replayed_at_halt = {}
+
+    def halt() -> None:
+        job.halt()
+        replayed_at_halt["n"] = engine.rounds_replayed
+
+    sim.at(700 * MS, halt, label="test.halt")
+    try:
+        sim.run_until(spec.horizon_ns)
+    finally:
+        sim.trace.close()
+    result = {
+        "digest": trace_digest(sim),
+        "events_executed": sim.events_executed,
+        "now_ns": sim.now,
+        "metrics": sim.metrics.snapshot(),
+        "round_template": engine.stats(),
+    }
+    return result, replayed_at_halt["n"], engine.rounds_replayed
+
+
+def test_job_halted_outside_fault_injector_keeps_parity() -> None:
+    """A halted job stops stepping; only its own fingerprint (which
+    keys ``active``) keeps pre-halt templates from replaying after the
+    halt.  Parity must hold, and the halted car must keep replaying."""
+    fast, at_halt, final = _run_with_halted_job(fast=True)
+    slow, _, _ = _run_with_halted_job(fast=False)
+    assert _comparable(fast) == _comparable(slow)
+    assert final > at_halt
 
 
 def test_car_scenario_arms_and_replays() -> None:
