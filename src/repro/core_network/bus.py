@@ -50,11 +50,13 @@ class PhysicalBus:
         self.name = name
         self.bandwidth_bps = bandwidth_bps
         self.propagation_delay = propagation_delay
-        #: Immutable delivery snapshot, rebuilt on attach(): _deliver
-        #: iterates this tuple directly instead of copying the listener
-        #: list on every frame (listeners attached mid-delivery only see
-        #: subsequent frames, same as the old copy-per-delivery).
-        self._listeners: tuple[BusListener, ...] = ()
+        #: (listener, component whose own frames it skips, or None).
+        self._attached: list[tuple[BusListener, str | None]] = []
+        #: sender -> immutable delivery tuple of every listener except
+        #: that sender's own controller; built on first use, dropped by
+        #: attach() (listeners attached mid-delivery only see subsequent
+        #: frames).
+        self._targets: dict[str, tuple[BusListener, ...]] = {}
         self._admission: Callable[[PhysicalFrame, int], bool] | None = None
         self._busy_until: int = 0
         self._in_flight: list[tuple[PhysicalFrame, int]] = []  # (frame, end)
@@ -70,15 +72,16 @@ class PhysicalBus:
         self._deliver_label = f"{name}.deliver"
 
     # ------------------------------------------------------------------
-    def attach(self, listener: BusListener) -> None:
-        self._listeners = self._listeners + (listener,)
+    def attach(self, listener: BusListener, own: str | None = None) -> None:
+        """Deliver every frame to ``listener`` — except, when ``own``
+        names a component, the frames that component transmits (a
+        controller never receives its own transmission)."""
+        self._attached.append((listener, own))
+        self._targets.clear()
 
     def set_admission_control(self, check: Callable[[PhysicalFrame, int], bool] | None) -> None:
         """Install the central guardian's admission check (or None)."""
         self._admission = check
-
-    def transmission_duration(self, frame: PhysicalFrame) -> int:
-        return -(-frame.size_bytes() * 8 * 1_000_000_000 // self.bandwidth_bps)
 
     # ------------------------------------------------------------------
     def transmit(self, frame: PhysicalFrame, duration: int | None = None) -> bool:
@@ -107,8 +110,9 @@ class PhysicalBus:
             else:
                 tr.tick(TraceCategory.FRAME_BLOCKED)
             return False
+        nbytes = frame.size_bytes()
         if duration is None:
-            duration = self.transmission_duration(frame)
+            duration = -(-nbytes * 8 * 1_000_000_000 // self.bandwidth_bps)
         end = now + duration
         frame.send_time = now
 
@@ -135,7 +139,7 @@ class PhysicalBus:
             tr.record(
                 now, TraceCategory.FRAME_TX, self.name,
                 sender=frame.sender, slot=frame.slot_id, cycle=frame.cycle,
-                bytes=frame.size_bytes(),
+                bytes=nbytes,
             )
         else:
             tr.tick(TraceCategory.FRAME_TX)
@@ -143,7 +147,6 @@ class PhysicalBus:
         self._busy_until = max(self._busy_until, end)
         self.frames_sent += 1
         self._m_tx.inc()
-        nbytes = frame.size_bytes()
         self._m_bytes.inc(nbytes)
         self._m_frame_bytes.observe(nbytes)
 
@@ -172,7 +175,12 @@ class PhysicalBus:
                 if fid is not None:
                     fl.hop(arrival, self.name, fid, FlowStage.BUS_RX,
                            corrupted=frame.corrupted)
-        for listener in self._listeners:
+        sender = frame.sender
+        targets = self._targets.get(sender)
+        if targets is None:
+            targets = self._targets[sender] = tuple(
+                listener for listener, own in self._attached if own != sender)
+        for listener in targets:
             listener.on_frame(frame, arrival)
 
     # ------------------------------------------------------------------

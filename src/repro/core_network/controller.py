@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable
 
-from ..errors import ConfigurationError, SchedulingError
+from ..errors import ConfigurationError, SimulationError
 from ..sim import EventPriority, LocalClock, Process, Simulator, TraceCategory
 from .bus import PhysicalBus
 from .frame import FrameChunk, FrameKind, PhysicalFrame
@@ -74,6 +74,11 @@ class CommunicationController(Process):
             (slot, slot.offset) for slot in schedule.slots_of(component)
         )
         self._cycle_length = schedule.cycle_length
+        #: slot id -> in-cycle end offset, for every slot of the cluster
+        #: (receive-side timing: slot instants are static in the schedule)
+        self._slot_ends: dict[int, int] = {
+            slot.slot_id: slot.offset + slot.duration for slot in schedule.slots
+        }
         # Precomputed per-slot dispatch table: guard closure and label
         # are built once instead of per cycle (the schedule-loop used to
         # allocate one lambda + one f-string per slot per cycle).  The
@@ -110,7 +115,7 @@ class CommunicationController(Process):
         self._m_chunks = m.counter("ctrl.chunks_delivered")
         self._m_sync = m.counter("ctrl.sync_rounds")
         self._m_overflow = m.counter("ctrl.tx_overflow")
-        bus.attach(self)
+        bus.attach(self, own=component)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -122,8 +127,6 @@ class CommunicationController(Process):
         """Reference instant when the local clock reads ``local_t``;
         clamped to *now* if the instant has already passed (e.g. after a
         large negative sync correction or a fault-injected offset)."""
-        from ..errors import SimulationError
-
         try:
             return self.clock.ref_time_for_local(max(local_t, 0), self.sim.now)
         except SimulationError:
@@ -275,8 +278,8 @@ class CommunicationController(Process):
         self._frame_listeners.append(callback)
 
     def on_frame(self, frame: PhysicalFrame, arrival: int) -> None:
-        if frame.sender == self.component:
-            return  # own transmission
+        # The bus never hands a controller its own transmission
+        # (attached with ``own=component``).
         if self.crashed:
             return
         self.frames_received += 1
@@ -303,16 +306,15 @@ class CommunicationController(Process):
 
     def _observe_timing(self, frame: PhysicalFrame, arrival: int) -> None:
         """Deviation estimate for clock sync (scheduled frames only)."""
-        if frame.slot_id < 0:
-            return  # forced/babbled frames carry no timing information
-        try:
-            slot = self.schedule.slot(frame.slot_id)
-        except SchedulingError:
+        # Forced/babbled frames (slot id -1) and unknown slot ids carry
+        # no timing information.
+        slot_end = self._slot_ends.get(frame.slot_id)
+        if slot_end is None:
             return
-        start, _ = self.schedule.slot_window(frame.cycle, slot)
         # Scheduled frames occupy their whole slot; arrival is expected
         # at slot start + slot duration + propagation.
-        expected_local = start + slot.duration + self.bus.propagation_delay
+        expected_local = (frame.cycle * self._cycle_length + slot_end
+                          + self.bus.propagation_delay)
         local_arrival = self.clock.local_time(arrival)
         self.sync.observe(frame.sender, local_arrival - expected_local)
 

@@ -23,6 +23,7 @@ Both are applied by :mod:`repro.faults` by wrapping the job's sends.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigurationError, PortError
@@ -118,13 +119,13 @@ class Job:
         self.activations += delta["act"] * k
         self.messages_handled += delta["msg"] * k
 
-    def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
-        """Behavioural state at a round boundary; None (the default)
-        vetoes fast-forward — a job that has not declared its hidden
-        control state replayable always runs live.  Overrides lead with
-        ``int(self.active)``: a halted job neither steps nor handles
-        messages, and :meth:`halt` alone punctures no template."""
-        return None
+    #: Permanent veto: a job that has not declared its hidden control
+    #: state replayable always runs live, and the engine stays off for
+    #: the run.  Subclasses override with a method returning the
+    #: behavioural state at a round boundary, led by ``int(self.active)``:
+    #: a halted job neither steps nor handles messages, and :meth:`halt`
+    #: alone punctures no template.
+    rt_fingerprint: Callable[[int, int], tuple | None] | None = None
 
     # ------------------------------------------------------------------
     def halt(self) -> None:

@@ -42,17 +42,19 @@ class LocalClock:
         self.drift_ppm = drift_ppm
         self._anchor_ref: Instant = 0
         self._anchor_local: Fraction = Fraction(offset)
+        #: ``int(self._anchor_local)``, kept beside the exact anchor.
+        self._anchor_local_int: int = int(self._anchor_local)
         self.corrections_applied = 0
         # Fast path: a perfect clock (the common case in large models)
         # needs no rational arithmetic at all — local time is reference
-        # time plus an integer offset.
+        # time plus the integer anchor.
         self._perfect = self._rate == 1
 
     # ------------------------------------------------------------------
     def local_time(self, ref_now: Instant) -> Instant:
         """Local clock reading at reference instant ``ref_now``."""
         if self._perfect:
-            return int(self._anchor_local) + (ref_now - self._anchor_ref)
+            return self._anchor_local_int + (ref_now - self._anchor_ref)
         val = self._anchor_local + (ref_now - self._anchor_ref) * self._rate
         return int(val)  # truncation toward zero: clock granularity 1 ns
 
@@ -71,13 +73,15 @@ class LocalClock:
         Used by the FTA synchronization round: the clock jumps, the rate
         keeps drifting as before.
         """
-        self._anchor_local = self.local_time_exact(ref_now) + correction
-        self._anchor_ref = ref_now
-        self.corrections_applied += 1
+        self._set_anchor(ref_now, self.local_time_exact(ref_now) + correction)
 
     def set_local_time(self, ref_now: Instant, new_local: Instant) -> None:
         """Force the local reading to ``new_local`` at ``ref_now``."""
-        self._anchor_local = Fraction(new_local)
+        self._set_anchor(ref_now, Fraction(new_local))
+
+    def _set_anchor(self, ref_now: Instant, local: Fraction) -> None:
+        self._anchor_local = local
+        self._anchor_local_int = int(local)
         self._anchor_ref = ref_now
         self.corrections_applied += 1
 
@@ -91,7 +95,7 @@ class LocalClock:
         ``local_time >= local_target``.
         """
         if self._perfect:
-            t_fast = local_target - int(self._anchor_local) + self._anchor_ref
+            t_fast = local_target - self._anchor_local_int + self._anchor_ref
             if t_fast < ref_hint:
                 raise SimulationError(
                     f"local target {local_target} already passed "

@@ -143,8 +143,8 @@ class EventQueue:
         rebuilding the heap cannot change pop order — compaction is
         invisible to the simulation.  The heap list is mutated in place
         (never rebound) because compaction can fire inside a kernel
-        callback while ``Simulator.run_until`` holds a reference to the
-        list for its preemption guard.
+        callback while the runtime's dispatch loop holds a reference to
+        the list.
         """
         self._heap[:] = [e for e in self._heap if not e[3].cancelled]
         heapq.heapify(self._heap)
@@ -167,55 +167,6 @@ class EventQueue:
         self._live -= 1
         ev._queue = None
         return ev
-
-    def pop_ready(self, t: Instant, limit: int = 4096) -> list[ScheduledEvent]:
-        """Pop every live event with ``time <= t`` (up to ``limit``), in
-        execution order.
-
-        This is the kernel's batched drain: one heap touch per event
-        instead of the peek+pop pair.  Popped events no longer belong to
-        the queue — ``cancel()`` on them still sets the flag (the kernel
-        checks it before executing) but does no queue accounting, exactly
-        like events returned by :meth:`pop`.  Events the kernel decides
-        not to execute must be handed back via :meth:`requeue`.
-        """
-        heap = self._heap
-        if not heap:
-            return []
-        out: list[ScheduledEvent] = []
-        pop = heapq.heappop
-        append = out.append
-        n = 0
-        while heap:
-            head = heap[0][3]
-            if head.cancelled:
-                pop(heap)
-                head._queue = None
-                self._dead -= 1
-                continue
-            if head.time > t or n >= limit:
-                break
-            pop(heap)
-            head._queue = None
-            append(head)
-            n += 1
-        self._live -= n
-        return out
-
-    def requeue(self, events: list[ScheduledEvent]) -> None:
-        """Return unexecuted events from :meth:`pop_ready` to the heap.
-
-        Cancelled entries are dropped (their live-count exit already
-        happened at pop time).  Re-inserting cannot change pop order:
-        events are totally ordered by ``(time, priority, seq)``.
-        """
-        heap = self._heap
-        for ev in events:
-            if ev.cancelled:
-                continue
-            ev._queue = self
-            self._live += 1
-            heapq.heappush(heap, (ev.time, ev.priority, ev.seq, ev))
 
     def shift_span(self, bound: Instant, dt: Duration) -> None:
         """Shift every live event with ``time < bound`` forward by ``dt``.

@@ -98,7 +98,13 @@ Participant protocol (duck-typed)
     occupancy, freshness ages, value-driven mode bits — including
     look-ahead over the round when behaviour can change mid-round).
     ``None`` vetoes the boundary entirely: the round runs live and is
-    not recorded.  **Invariance contract**: a replay of ``k`` rounds
+    not recorded.  A participant that can never be replayed declares
+    the class attribute ``rt_fingerprint = None`` instead — a
+    *permanent veto* (the base :class:`~repro.platform.job.Job` does).
+    :meth:`RoundTemplateEngine.begin` then leaves the engine off for the
+    whole run, no boundary is scanned, and
+    :meth:`RoundTemplateEngine.stats` names the vetoing classes under
+    ``static_veto``.  **Invariance contract**: a replay of ``k`` rounds
     re-verifies the fingerprint only at entry, so a participant's
     fingerprint must be invariant under its own round delta
     (``rt_advance(delta, 1)`` at ``B`` must reproduce the fingerprint
@@ -129,6 +135,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["RoundTemplateEngine", "STRIDE_KEYS"]
 
+#: ``getattr`` default telling "no ``rt_fingerprint`` attribute" (no
+#: constraint) apart from ``rt_fingerprint = None`` (permanent veto).
+_ABSENT = object()
+
 #: Trace-detail keys allowed to advance by a constant integer stride per
 #: round (everything else must be bit-identical between rounds).
 STRIDE_KEYS = ("cycle", "nominal")
@@ -153,7 +163,7 @@ class RoundTemplateEngine:
         self._label_periods: list[int] = []
         self._participants: list[Any] = []
         self._labels: set[str] = set()
-        self._hooks_cache: tuple[list[Any], list[Any]] | None = None
+        self._hooks_cache: tuple[list[Any], list[Any], list[Any]] | None = None
         self._boundary = 0
         self._capture: list[TraceRecord] = []
         self._capture_listener = self._capture.append
@@ -190,19 +200,27 @@ class RoundTemplateEngine:
         return self._round_len
 
     @property
-    def _part_hooks(self) -> tuple[list[Any], list[Any]]:
+    def _part_hooks(self) -> tuple[list[Any], list[Any], list[Any]]:
         """Bound ``rt_fingerprint`` / ``rt_headroom`` methods of every
-        participant that has one, cached until the next registration
-        (the getattr probe per participant per boundary is measurable
-        on hot runs)."""
+        participant that has one, plus the participants that declare a
+        permanent veto (``rt_fingerprint = None``), cached until the
+        next registration (the getattr probe per participant per
+        boundary is measurable on hot runs)."""
         hooks = self._hooks_cache
         if hooks is None:
-            parts = self._participants
-            fps = [fn for fn in (getattr(p, "rt_fingerprint", None)
-                                 for p in parts) if fn is not None]
-            hrs = [fn for fn in (getattr(p, "rt_headroom", None)
-                                 for p in parts) if fn is not None]
-            hooks = self._hooks_cache = (fps, hrs)
+            fps: list[Any] = []
+            hrs: list[Any] = []
+            vetoes: list[Any] = []
+            for p in self._participants:
+                fn = getattr(p, "rt_fingerprint", _ABSENT)
+                if fn is None:
+                    vetoes.append(p)
+                elif fn is not _ABSENT:
+                    fps.append(fn)
+                hr = getattr(p, "rt_headroom", None)
+                if hr is not None:
+                    hrs.append(hr)
+            hooks = self._hooks_cache = (fps, hrs, vetoes)
         return hooks
 
     def register_cluster(self, cluster: Any) -> None:
@@ -299,6 +317,10 @@ class RoundTemplateEngine:
         if not self._active or self._round_len <= 0:
             return None
         self._reset()
+        if self._part_hooks[2]:
+            # A participant that always vetoes makes every boundary run
+            # live: skip the per-boundary scans altogether.
+            return None
         sim = self.sim
         if not sim._runtime.supports_round_templates:
             # Bulk round replay is only sound when nothing outside the
@@ -523,8 +545,11 @@ class RoundTemplateEngine:
         """Participant fingerprint tuple at boundary ``B`` (None vetoes
         the boundary: the round runs live and is never recorded)."""
         L = self._round_len
+        hooks, _headroom, vetoes = self._part_hooks
+        if vetoes:
+            return None
         fps = []
-        for fn in self._part_hooks[0]:
+        for fn in hooks:
             v = fn(B, L)
             if v is None:
                 return None
@@ -791,6 +816,8 @@ class RoundTemplateEngine:
             "failed_recordings": self.failed_recordings,
             "punctures": self.punctures,
             "bank_templates": len(self._bank),
+            "static_veto": sorted({type(p).__name__
+                                   for p in self._part_hooks[2]}),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,15 +1,15 @@
 """The simulated runtime: virtual time at maximum speed (the default).
 
-This is the kernel's historical dispatch loop, factored out of
-:class:`~repro.sim.kernel.Simulator` unchanged: tuple-heap batched
-draining via :meth:`~repro.sim.events.EventQueue.pop_ready`, the
-same-instant priority-preemption guard, and round-template
-fast-forwarding at round boundaries.  Byte-for-byte trace parity with
-the pre-refactor kernel is pinned by the golden-digest tests — this
-module must stay a pure code move, not a behaviour change.
+The kernel's dispatch loop: one tuple-heap pop per event, in
+``(time, priority, seq)`` order, with round-template fast-forwarding at
+round boundaries.  The registry's trace digests are pinned as literals
+by the golden-digest tests; a change to this loop must leave every one
+of them byte-identical.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .base import Runtime
 
@@ -46,21 +46,16 @@ class SimulatedRuntime(Runtime):
     def run_until(self, t: int) -> None:
         """Run every event with ``time <= t`` and advance ``now`` to ``t``.
 
-        Ready events are drained in batches
-        (:meth:`~repro.sim.events.EventQueue.pop_ready`) so the hot loop
-        pays one heap touch per event instead of the peek+pop pair.
-        Execution order is identical to the one-at-a-time loop: if a
-        callback schedules an event that precedes the rest of the batch
-        — same instant, lower priority value — the remainder is handed
-        back to the heap and re-drained in order.
+        One heap pop per event: the loop peeks the heap head, pops it,
+        skips it if cancelled and runs it otherwise.  The heap is totally
+        ordered by ``(time, priority, seq)``, so an event a callback
+        schedules ahead of the pending ones is simply the next head.
 
         When the round-template engine is active (scenario runs), the
         drain bound is held at the next round boundary; each time the
         queue is drained up to a boundary the engine gets a chance to
         record or bulk-replay whole rounds from a bank of
         phase-normalized templates (see :mod:`repro.sim.round_template`).
-        A dormant engine leaves this loop byte-for-byte identical to
-        plain batched execution.
         """
         sim = self._bound()
         sim._guard_reentry()
@@ -68,7 +63,7 @@ class SimulatedRuntime(Runtime):
         # Safe to hold across callbacks: EventQueue.compact()/clear()
         # mutate the heap list in place, never rebind it.
         heap = queue._heap
-        pop_ready = queue.pop_ready
+        pop = heapq.heappop
         executed = 0
         engine = sim.round_template.begin(t)
         bound = t
@@ -80,8 +75,7 @@ class SimulatedRuntime(Runtime):
                 engine = None
         try:
             while not sim._stopped:
-                batch = pop_ready(bound)
-                if not batch:
+                if not heap or heap[0][0] > bound:
                     if engine is None:
                         break
                     # Queue drained up to (excluding) the boundary: let
@@ -97,37 +91,19 @@ class SimulatedRuntime(Runtime):
                     else:
                         bound = nb - 1
                     continue
-                i = 0
-                n = len(batch)
-                try:
-                    while i < n:
-                        ev = batch[i]
-                        i += 1
-                        if ev.cancelled:
-                            continue
-                        sim._now = ev.time
-                        executed += 1
-                        if sim._profiling:
-                            sim._profiled_call(ev)
-                        else:
-                            ev.callback()
-                        if sim._stopped:
-                            break
-                        if i < n and heap:
-                            # A callback may have scheduled an event that
-                            # precedes the batch remainder (same instant,
-                            # lower priority value): fall back to the heap.
-                            head = heap[0]
-                            nxt = batch[i]
-                            if head[0] < nxt.time or (
-                                head[0] == nxt.time and head[1] < nxt.priority
-                            ):
-                                break
-                finally:
-                    # Hand unexecuted events back (stop(), preemption, or
-                    # a raising callback) — none may be lost.
-                    if i < n:
-                        queue.requeue(batch[i:])
+                ev = pop(heap)[3]
+                ev._queue = None
+                if ev.cancelled:
+                    # Already left the live count when cancel() ran.
+                    queue._dead -= 1
+                    continue
+                queue._live -= 1
+                sim._now = ev.time
+                executed += 1
+                if sim._profiling:
+                    sim._profiled_call(ev)
+                else:
+                    ev.callback()
             if not sim._stopped and sim._now < t:
                 sim._now = t
         finally:

@@ -81,6 +81,78 @@ def test_sender_never_receives_own_frame():
     assert got == []
 
 
+class _Probe:
+    """Raw bus listener recording every frame it is handed."""
+
+    def __init__(self) -> None:
+        self.frames: list = []
+
+    def on_frame(self, frame, arrival: int) -> None:
+        self.frames.append(frame)
+
+
+def _babbling_cluster(sim: Simulator):
+    """Four perfect nodes, guardian off, n0 babbling once inside n1's
+    slot (so the forced frame reaches the medium)."""
+    cluster = build_cluster(sim, guardian_enabled=False)
+    n1_slot = cluster.schedule.slots_of("n1")[0]
+    t = cluster.schedule.cycle_length + n1_slot.offset + 100
+    sim.at(t, lambda: cluster.controller("n0").force_transmit())
+    return cluster
+
+
+def _spy_on_frame(ctrl) -> list:
+    handed: list = []
+    original = ctrl.on_frame
+
+    def spy(frame, arrival: int) -> None:
+        handed.append(frame)
+        original(frame, arrival)
+
+    ctrl.on_frame = spy
+    return handed
+
+
+def test_controller_is_never_handed_its_own_frame():
+    sim = Simulator()
+    cluster = _babbling_cluster(sim)
+    handed = {name: _spy_on_frame(c) for name, c in cluster.controllers.items()}
+    sim.run_until(3 * cluster.schedule.cycle_length)
+    assert cluster.controller("n0").frames_transmitted > 1
+    for name, frames in handed.items():
+        assert frames
+        assert all(f.sender != name for f in frames)
+    # The babbled frame reached every other controller.
+    for name in ("n1", "n2", "n3"):
+        assert any(f.meta.get("forced") for f in handed[name])
+    assert not any(f.meta.get("forced") for f in handed["n0"])
+
+
+def test_probe_attached_to_bus_sees_every_frame_including_senders_own():
+    sim = Simulator()
+    cluster = _babbling_cluster(sim)
+    probe = _Probe()
+    cluster.bus.attach(probe)
+    sim.run_until(3 * cluster.schedule.cycle_length)
+    assert len(probe.frames) == cluster.bus.frames_sent
+    assert {f.sender for f in probe.frames} == {"n0", "n1", "n2", "n3"}
+    assert sum(1 for f in probe.frames if f.meta.get("forced")) == 1
+
+
+def test_listener_attached_after_first_delivery_gets_later_frames():
+    sim = Simulator()
+    cluster = build_cluster(sim)
+    cycle = cluster.schedule.cycle_length
+    sim.run_until(cycle)
+    sent_before = cluster.bus.frames_sent
+    assert sent_before > 0  # every sender's delivery tuple is built
+    probe = _Probe()
+    cluster.bus.attach(probe)
+    sim.run_until(3 * cycle)
+    assert len(probe.frames) == cluster.bus.frames_sent - sent_before
+    assert {f.sender for f in probe.frames} == {"n0", "n1", "n2", "n3"}
+
+
 def test_reservations_partition_slot_bandwidth():
     sim = Simulator()
     builder = ClusterBuilder(sim)

@@ -81,15 +81,17 @@ def _run_registry(name: str) -> dict:
     return sim.round_template.stats()
 
 
-def test_gateway_pipeline_arms_but_unported_jobs_veto() -> None:
+def test_gateway_pipeline_engine_stays_off_on_unported_jobs() -> None:
     """ET virtual networks and gateways are participants, not permanent
-    blockers — the gateway pipeline arms.  Its jobs never declare a
-    replayable fingerprint, though, so every boundary is vetoed and
-    every round still runs live (nothing is even recorded)."""
+    blockers.  The gateway pipeline's jobs never declare a replayable
+    fingerprint, though: they keep the base ``rt_fingerprint = None``, a
+    permanent veto, so the engine stays off for the whole run (nothing
+    is recorded or replayed) and its stats name the vetoing classes."""
     stats = _run_registry("gw-pipeline-smoke")
     assert stats["active"]
     assert stats["recordings"] == 0
     assert stats["replays"] == 0
+    assert stats["static_veto"] == ["Sender", "Viewer"]
 
 
 def test_jobs_monitors_and_repositories_are_participants() -> None:

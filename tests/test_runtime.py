@@ -42,18 +42,46 @@ SMOKE = ("gw-pipeline-smoke", "tdma-smoke", "car-smoke")
 
 
 # ----------------------------------------------------------------------
-# digest parity: the simulated runtime IS the old kernel loop
+# digest parity: pinned literals, under every way of running the kernel
 # ----------------------------------------------------------------------
+
+#: Every registry scenario's trace digest and executed-event count, as
+#: literals.  A kernel or model optimization must leave all of them
+#: byte-identical; a deliberate behaviour change re-pins them here.
+PINNED_DIGESTS = {
+    "car-baseline": ("45c0ec9aa0140c132df381a50ea4f2eb0630c78638265bd11bfd6b80fd2fec31", 113651),
+    "car-flow": ("eae3edd1519a6d4c65c0a6123611cf4eaebb1e906b8ddf813a66c548f550546f", 28416),
+    "car-gps-outage": ("ab4c6752e4def9a48b185adb586c42295b9cb12f81884a465618c56ba0860fe8", 113651),
+    "car-smoke": ("d06a2567fb9f75f972c15466df17473ede3a5ae9fa677797d0eaa416ecccea17", 28416),
+    "car-strict-separation": ("886068f7c5aaeff5d4d58a13b4e3ce1f17332e90d6ddbac7ff0ab0e4446844c3", 150486),
+    "fault-babbling-idiot": ("a4153ff71c4ad8bb570c50c1632795478a2bfdbae4b5630d77477a830f6a668c", 77031),
+    "fault-controller-crash": ("702b5e19e20d8bf063d7f821c4f9a08f5b2c18633655d020ec460a9ed7a3f001", 86091),
+    "gw-pipeline-flow": ("04fce54e69e092a861cb8af3900c62d97887d5dd8584d4451d23f6a6d0ab3471", 46631),
+    "gw-pipeline-s5": ("19ed89f089e1d2a15a8284a202ba3b7f72df23393c958d72ab0803bb4f1eafdc", 93262),
+    "gw-pipeline-seed0": ("19ed89f089e1d2a15a8284a202ba3b7f72df23393c958d72ab0803bb4f1eafdc", 93262),
+    "gw-pipeline-seed1": ("19ed89f089e1d2a15a8284a202ba3b7f72df23393c958d72ab0803bb4f1eafdc", 93262),
+    "gw-pipeline-seed2": ("19ed89f089e1d2a15a8284a202ba3b7f72df23393c958d72ab0803bb4f1eafdc", 93262),
+    "gw-pipeline-smoke": ("e147542deca96e76f8f9712330a77a16f7287f3873765cea2c72cd1627d64ff5", 18654),
+    "tdma-cluster": ("6eceaa33c199d3106194eedbfb1062a92e765ec7368d2c50be644cc2f8c3a4ab", 67412),
+    "tdma-smoke": ("d2ecc851a67c2b651d7420b1bac4e702b90be8ca5c9cdbd357c40eed550dfd3b", 16852),
+    "tt-vn-pipeline": ("d5be51aacfc97d75cfcba8c51a1efd06da433b23b6d23fcad3cf7a6a01e52d4e", 58529),
+}
+
+
+def test_pinned_table_covers_the_registry() -> None:
+    assert sorted(PINNED_DIGESTS) == sorted(REGISTRY)
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_simulated_runtime_reproduces_golden_digests(name: str) -> None:
     """Every registered scenario (round templates armed, per defaults)
-    must produce the same digest whether it runs on the builder's
-    default runtime or on an explicitly constructed SimulatedRuntime
-    swapped in via ``set_runtime`` — the refactor moved the loop, it
-    must not have changed it."""
+    must produce its pinned digest and event count, both on the
+    builder's default runtime and on an explicitly constructed
+    SimulatedRuntime swapped in via ``set_runtime``."""
     spec = REGISTRY[name]
     golden = run_scenario(spec)
     assert "error" not in golden
+    assert (golden["digest"], golden["events_executed"]) == PINNED_DIGESTS[name]
     assert golden["runtime"] == "sim"
     assert "runtime_stats" not in golden
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,3 +100,68 @@ def test_property_monotonic(drift: float, t1: int, dt: int) -> None:
     """Local time is monotonically non-decreasing in reference time."""
     clk = LocalClock(drift_ppm=drift)
     assert clk.local_time(t1 + dt) >= clk.local_time(t1)
+
+
+class _RationalClock:
+    """Reference model: the exact rational map a LocalClock implements
+    (``local = anchor_local + (ref - anchor_ref) * rate``)."""
+
+    def __init__(self, drift_ppm: float, offset: int) -> None:
+        self.rate = 1 + Fraction(drift_ppm).limit_denominator(10**9) / 1_000_000
+        self.anchor_ref = 0
+        self.anchor_local = Fraction(offset)
+
+    def exact(self, ref: int) -> Fraction:
+        return self.anchor_local + (ref - self.anchor_ref) * self.rate
+
+    def local_time(self, ref: int) -> int:
+        return int(self.exact(ref))
+
+    def ref_time_for_local(self, target: int, hint: int) -> int:
+        t = self.anchor_ref + (target - self.anchor_local) / self.rate
+        return max(math.ceil(t), hint)
+
+
+_CLOCK_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("correct", "set")),
+        st.integers(min_value=0, max_value=SEC),          # ref advance
+        st.integers(min_value=-10**6, max_value=10**6),   # correction / local shift
+    ),
+    max_size=8,
+)
+
+
+@given(
+    drift=st.one_of(st.just(0.0),
+                    st.floats(min_value=-500, max_value=500, allow_nan=False)),
+    offset=st.integers(min_value=-SEC, max_value=SEC),
+    ops=_CLOCK_OPS,
+    probe=st.integers(min_value=0, max_value=SEC),
+    ahead=st.integers(min_value=0, max_value=SEC),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_clock_matches_rational_model(drift: float, offset: int, ops,
+                                               probe: int, ahead: int) -> None:
+    """Perfect clocks answer from an integer anchor, drifting ones from
+    exact Fractions; both must agree with the rational model after any
+    sequence of corrections and forced settings."""
+    clk = LocalClock(drift_ppm=drift, offset=offset)
+    model = _RationalClock(drift, offset)
+    ref = 0
+    for op, advance, value in ops:
+        ref += advance
+        if op == "correct":
+            clk.apply_correction(ref, value)
+            model.anchor_local = model.exact(ref) + value
+        else:
+            new_local = clk.local_time(ref) + value
+            clk.set_local_time(ref, new_local)
+            model.anchor_local = Fraction(new_local)
+        model.anchor_ref = ref
+        assert clk.local_time(ref) == model.local_time(ref)
+    hint = ref + probe
+    assert clk.local_time(hint) == model.local_time(hint)
+    assert clk.local_time_exact(hint) == model.exact(hint)
+    target = math.ceil(model.exact(hint)) + ahead
+    assert clk.ref_time_for_local(target, hint) == model.ref_time_for_local(target, hint)

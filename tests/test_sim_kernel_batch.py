@@ -1,19 +1,18 @@
-"""Edge cases of the batched ``run_until`` drain.
+"""Edge cases of the single-pop ``run_until`` loop.
 
-The batched kernel pops ready events in blocks (``EventQueue.pop_ready``)
-instead of peek+pop per event; these tests pin the behaviours that must
-survive batching: ``stop()`` mid-batch keeps unexecuted events, in-batch
-callbacks scheduling at exactly ``t`` still run within the same call,
-in-batch cancellation is honored, lower-priority-value events scheduled
-mid-batch preempt the batch remainder, and ``PeriodicTask`` re-arms that
-land inside the live batch fire in order.
+The kernel pops one event at a time off the ``(time, priority, seq)``
+heap; these tests pin the behaviours that loop must keep: ``stop()``
+mid-instant keeps unexecuted events, callbacks scheduling at exactly
+``t`` still run within the same call, cancellation of an already
+pending same-instant event is honored, lower-priority-value events
+scheduled at the current instant run before the pending remainder,
+and ``PeriodicTask`` re-arms fire in order.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim import EventPriority, EventQueue, Simulator
 
 
@@ -97,12 +96,11 @@ def test_same_instant_lower_priority_event_preempts_batch_remainder():
 
 
 def test_preemption_guard_survives_compaction_mid_batch():
-    # Regression: run_until holds a reference to the queue's heap list
-    # for its preemption guard.  A callback that cancels enough events
-    # to trigger EventQueue.compact() must not invalidate that reference
-    # (compact rebinding self._heap used to leave the guard reading a
-    # stale list), or a same-instant NETWORK event scheduled afterwards
-    # silently loses its preemption.
+    # Regression: run_until holds a reference to the queue's heap list.
+    # A callback that cancels enough events to trigger
+    # EventQueue.compact() must not invalidate that reference (compact
+    # rebinding self._heap would leave the loop reading a stale list),
+    # or a same-instant NETWORK event scheduled afterwards is lost.
     sim = Simulator()
     fired: list[str] = []
     victims = [sim.at(1000, lambda: None)
@@ -118,7 +116,7 @@ def test_preemption_guard_survives_compaction_mid_batch():
     sim.at(10, first, priority=EventPriority.APPLICATION)
     sim.at(10, lambda: fired.append("second"), priority=EventPriority.APPLICATION)
     sim.run_until(10)
-    # Identical to one-at-a-time semantics despite the mid-batch compaction.
+    # Heap order holds despite the compaction inside the callback.
     assert fired == ["first", "net", "second"]
 
 
@@ -163,7 +161,7 @@ def test_cancel_of_event_already_popped_into_batch_is_honored():
     victim = sim.at(10, lambda: fired.append("victim"),
                     priority=EventPriority.APPLICATION)
     # CONTROLLER priority fires first at the same instant, with the
-    # victim already popped into the same batch.
+    # victim already ready to run at that instant.
     sim.at(10, lambda: (fired.append("killer"), victim.cancel()),
            priority=EventPriority.CONTROLLER)
     sim.run_until(10)
@@ -216,43 +214,3 @@ def test_raising_callback_mid_batch_keeps_remaining_events():
     assert sim.events_executed == 2  # a and the raiser both count
     sim.run_until(10)
     assert fired == ["a", "b"]
-
-
-# ----------------------------------------------------------------------
-# pop_ready / requeue unit behaviour
-# ----------------------------------------------------------------------
-def test_pop_ready_returns_ready_events_in_order_and_respects_limit():
-    q = EventQueue()
-    handles = [q.push(t, lambda: None) for t in (30, 10, 20, 40)]
-    ready = q.pop_ready(30, limit=2)
-    assert [e.time for e in ready] == [10, 20]
-    assert len(q) == 2
-    ready2 = q.pop_ready(30)
-    assert [e.time for e in ready2] == [30]
-    assert q.peek_time() == 40
-    assert handles[3].time == 40
-
-
-def test_pop_ready_skips_cancelled_and_requeue_restores_live():
-    q = EventQueue()
-    keep = q.push(10, lambda: None)
-    dead = q.push(10, lambda: None)
-    dead.cancel()
-    ready = q.pop_ready(10)
-    assert ready == [keep]
-    q.requeue(ready)
-    assert len(q) == 1
-    assert q.pop() is keep
-    with pytest.raises(SimulationError):
-        q.pop()
-
-
-def test_requeue_drops_events_cancelled_while_out_of_queue():
-    q = EventQueue()
-    ev = q.push(10, lambda: None)
-    (popped,) = q.pop_ready(10)
-    popped.cancel()  # cancelled while owned by the batch
-    q.requeue([popped])
-    assert len(q) == 0
-    assert q.peek_time() is None
-    assert ev.cancelled
