@@ -57,7 +57,7 @@ class PhysicalBus:
         #: attach() (listeners attached mid-delivery only see subsequent
         #: frames).
         self._targets: dict[str, tuple[BusListener, ...]] = {}
-        self._admission: Callable[[PhysicalFrame, int], bool] | None = None
+        self._admission: Callable[[PhysicalFrame, int, int], bool] | None = None
         self._busy_until: int = 0
         self._in_flight: list[tuple[PhysicalFrame, int]] = []  # (frame, end)
         self.frames_sent = 0
@@ -79,8 +79,10 @@ class PhysicalBus:
         self._attached.append((listener, own))
         self._targets.clear()
 
-    def set_admission_control(self, check: Callable[[PhysicalFrame, int], bool] | None) -> None:
-        """Install the central guardian's admission check (or None)."""
+    def set_admission_control(
+            self, check: Callable[[PhysicalFrame, int, int], bool] | None) -> None:
+        """Install the central guardian's admission check (or None),
+        called as ``check(frame, now, nbytes)`` with the frame's size."""
         self._admission = check
 
     # ------------------------------------------------------------------
@@ -99,7 +101,8 @@ class PhysicalBus:
         """
         now = self.sim.now
         tr = self.sim.trace
-        if self._admission is not None and not self._admission(frame, now):
+        nbytes = frame.size_bytes()
+        if self._admission is not None and not self._admission(frame, now, nbytes):
             self.frames_blocked += 1
             self._m_blocked.inc()
             if tr.wants(TraceCategory.FRAME_BLOCKED):
@@ -110,7 +113,6 @@ class PhysicalBus:
             else:
                 tr.tick(TraceCategory.FRAME_BLOCKED)
             return False
-        nbytes = frame.size_bytes()
         if duration is None:
             duration = -(-nbytes * 8 * 1_000_000_000 // self.bandwidth_bps)
         end = now + duration

@@ -52,8 +52,8 @@ class CentralGuardian:
             self.bandwidth_bps = bus.bandwidth_bps
         bus.set_admission_control(self.admit)
 
-    def admit(self, frame: PhysicalFrame, now: int) -> bool:
-        """True iff ``frame.sender`` may transmit at ``now``.
+    def admit(self, frame: PhysicalFrame, now: int, nbytes: int) -> bool:
+        """True iff ``frame.sender`` may transmit its ``nbytes`` at ``now``.
 
         Both the start *and the end* of the transmission must lie inside
         the sender's (margin-widened) slot window — a frame admitted at
@@ -64,7 +64,7 @@ class CentralGuardian:
             return True
         ok = self.schedule.in_slot_of(frame.sender, now, margin=self.margin)
         if ok and self.bandwidth_bps:
-            duration = -(-frame.size_bytes() * 8 * 1_000_000_000 // self.bandwidth_bps)
+            duration = -(-nbytes * 8 * 1_000_000_000 // self.bandwidth_bps)
             ok = self.schedule.in_slot_of(frame.sender, now + duration,
                                           margin=self.margin)
         if ok:

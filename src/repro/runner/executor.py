@@ -23,7 +23,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..errors import ConfigurationError
-from ..sim.trace import jsonl_sha256
+from ..sim.trace import DigestSink, jsonl_sha256
 from .cache import ResultCache, code_digest, result_key
 from .scenarios import ScenarioSpec, build_scenario
 from .telemetry import (
@@ -51,18 +51,40 @@ def _process_code_digest() -> str:
 def trace_digest(sim) -> str:
     """Deterministic digest of a finished run's observable behaviour.
 
-    Full-trace runs digest the JSONL export record-for-record (the same
-    bytes the golden-digest test hashes, streamed through the hash in
-    chunks); counter-mode runs digest the sorted per-category counts.
-    Either way, two runs of the same spec on the same code must produce
-    the same digest — in any process.
+    Full-trace runs digest the JSONL export record-for-record: a stored
+    trace is hashed here (the same bytes the golden-digest test hashes,
+    streamed through the hash in chunks), a :class:`DigestSink` already
+    hashed those bytes as the records were emitted and only hands over
+    its digest.  Counter-mode runs digest the sorted per-category
+    counts.  Either way, two runs of the same spec on the same code
+    must produce the same digest — in any process.
     """
-    memory = sim.trace.memory
+    trace = sim.trace
+    memory = trace.memory
     if memory is not None:
         return jsonl_sha256(memory.records)
-    counts = {str(k): v for k, v in sim.trace.category_counts().items()}
+    for sink in trace.sinks:
+        if isinstance(sink, DigestSink):
+            return sink.hexdigest()
+    counts = {str(k): v for k, v in trace.category_counts().items()}
     payload = json.dumps(counts, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _hash_as_emitted(sim) -> None:
+    """Replace a full trace's :class:`MemorySink` by a
+    :class:`DigestSink` holding the records stored so far: the run then
+    keeps no record list.  Flow-traced runs keep theirs —
+    :meth:`FlowSet.from_trace` reads the records after the run."""
+    trace = sim.trace
+    memory = trace.memory
+    if memory is None or sim.flows.enabled:
+        return
+    sink = DigestSink()
+    for rec in memory.records:
+        sink.emit(rec)
+    trace.remove_sink(memory)
+    trace.add_sink(sink)
 
 
 def run_scenario(spec: ScenarioSpec,
@@ -88,9 +110,15 @@ def run_scenario(spec: ScenarioSpec,
 
 def _execute_scenario(spec: ScenarioSpec) -> dict:
     """Build, run, and summarize one scenario — no ledger side effects
-    (chunked execution batches those; see :func:`_pool_worker_chunk`)."""
+    (chunked execution batches those; see :func:`_pool_worker_chunk`).
+
+    A full trace is hashed while it is emitted (:func:`_hash_as_emitted`),
+    so ``wall_s`` includes the hashing and ``digest_s`` is about 0; only
+    flow-traced runs still hash their stored records after the run.
+    """
     t0 = time.perf_counter()
     sim = build_scenario(spec)
+    _hash_as_emitted(sim)
     try:
         sim.run_until(spec.horizon_ns)
     finally:

@@ -36,6 +36,7 @@ from .time import (
 from .trace import (
     TRACE_MODES,
     CounterSink,
+    DigestSink,
     FlightRecorderSink,
     MemorySink,
     StreamSink,
@@ -69,6 +70,7 @@ __all__ = [
     "TraceSink",
     "MemorySink",
     "CounterSink",
+    "DigestSink",
     "StreamSink",
     "FlightRecorderSink",
     "FlowStage",

@@ -40,8 +40,10 @@ stride on whitelisted keys like ``cycle``).
 
 Replaying ``k`` rounds then means: bulk-emit ``k`` copies of the record
 prototypes re-timestamped against the current boundary phase (the
-timestamp grid is a preallocated numpy outer sum), bump tick counts,
-counters (numpy delta vector), histogram buckets
+timestamp grid is a preallocated numpy outer sum; a lone
+:class:`~repro.sim.trace.DigestSink` takes them as encoded lines, see
+:func:`line_plan`), bump tick counts, counters (numpy delta vector),
+histogram buckets
 (:meth:`~repro.sim.metrics.Histogram.bulk_apply`), ``events_executed``,
 and every participant's statistics by ``k`` times the per-round delta,
 advance the pending heap events by their observed successor strides,
@@ -128,12 +130,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .trace import CounterSink, TraceRecord
+from .trace import _DIGEST_CHUNK, CounterSink, DigestSink, TraceRecord, line_format
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
 
-__all__ = ["RoundTemplateEngine", "STRIDE_KEYS"]
+__all__ = ["RoundTemplateEngine", "STRIDE_KEYS", "line_plan", "write_rounds"]
 
 #: ``getattr`` default telling "no ``rt_fingerprint`` attribute" (no
 #: constraint) apart from ``rt_fingerprint = None`` (permanent veto).
@@ -143,6 +145,10 @@ _ABSENT = object()
 #: round (everything else must be bit-identical between rounds).
 STRIDE_KEYS = ("cycle", "nominal")
 
+#: Bound on the magnitude of a strided value's base and of stride times
+#: round index, so the int64 arithmetic of a line replay is exact.
+_INT64_SAFE = 1 << 62
+
 
 def _canon(value: Any) -> Any:
     """Recursively turn lists into tuples, so participant fingerprints
@@ -150,6 +156,79 @@ def _canon(value: Any) -> Any:
     if isinstance(value, list):
         return tuple(_canon(v) for v in value)
     return value
+
+
+def line_plan(protos: tuple) -> dict | None:
+    """How to encode a template's replayed rounds straight to NDJSON.
+
+    One round is one ``%``-format (the :func:`~repro.sim.trace.line_format`
+    of every prototype, ``"\\n"``-joined) over one row of int64
+    arguments: each record's time, then its strided values in line
+    order.  Returns None — replay then builds records — when a detail
+    key shadows a header field or a strided base or stride is not an
+    exact ``int`` (a bool or an IntEnum).
+    """
+    fmts: list[str] = []
+    tpos: list[int] = []
+    spos: list[int] = []
+    sbase: list[int] = []
+    sstep: list[int] = []
+    cats: dict[Any, int] = {}
+    for _nrel, category, source, detail, strides in protos:
+        by_key = {key: (bval, stride) for key, bval, stride in strides}
+        made = line_format(category, source, detail, tuple(by_key))
+        if made is None:
+            return None
+        fmt, order = made
+        tpos.append(len(tpos) + len(spos))
+        for key in order:
+            bval, stride = by_key[key]
+            if type(bval) is not int or type(stride) is not int:
+                return None
+            spos.append(len(tpos) + len(spos))
+            sbase.append(bval)
+            sstep.append(stride)
+        fmts.append(fmt)
+        cats[category] = cats.get(category, 0) + 1
+    return {
+        "fmt": "\n".join(fmts),
+        "nargs": len(tpos) + len(spos),
+        "tpos": np.asarray(tpos, dtype=np.intp),
+        "spos": np.asarray(spos, dtype=np.intp),
+        "sbase": sbase,
+        "sstep": sstep,
+        "cats": tuple(cats.items()),
+        "per": max(1, _DIGEST_CHUNK // len(protos)),
+    }
+
+
+def write_rounds(sink: DigestSink, plan: dict, times: np.ndarray,
+                 m0: int) -> bool:
+    """Hash ``len(times)`` replayed rounds into ``sink`` — row ``j`` of
+    ``times`` holds round ``j``'s record times, its strided values are
+    those of round index ``m0 + j`` — and add their counts.  False
+    (nothing written) when a strided value could leave int64."""
+    k = len(times)
+    sbase, sstep = plan["sbase"], plan["sstep"]
+    if sbase:
+        mmax = max(abs(m0), abs(m0 + k - 1))
+        if (max(map(abs, sbase)) >= _INT64_SAFE
+                or max(map(abs, sstep)) * mmax >= _INT64_SAFE):
+            return False
+    args = np.empty((k, plan["nargs"]), dtype=np.int64)
+    args[:, plan["tpos"]] = times
+    if sbase:
+        m = np.arange(m0, m0 + k, dtype=np.int64)
+        args[:, plan["spos"]] = (np.asarray(sbase, dtype=np.int64)
+                                 + np.multiply.outer(m, np.asarray(sstep, dtype=np.int64)))
+    per = plan["per"]
+    for j in range(0, k, per):
+        block = args[j:j + per]
+        sink.write("\n".join([plan["fmt"]] * len(block)) % tuple(block.ravel().tolist()))
+    counts = sink.counts
+    for cat, n in plan["cats"]:
+        counts[cat] = counts.get(cat, 0) + n * k
+    return True
 
 
 class RoundTemplateEngine:
@@ -707,6 +786,23 @@ class RoundTemplateEngine:
         tpl["_np"] = npd
         return npd
 
+    @staticmethod
+    def _emit_rounds(protos: tuple, record_sinks: list, times: list,
+                     m0: int) -> None:
+        """Emit one record per prototype for each row of ``times``."""
+        for j, row in enumerate(times):
+            m = m0 + j
+            for i, (_nrel, category, source, detail,
+                    strides) in enumerate(protos):
+                if strides:
+                    detail = dict(detail)
+                    for key, bval, stride in strides:
+                        detail[key] = bval + stride * m
+                rec = TraceRecord(time=row[i], category=category,
+                                  source=source, detail=detail)
+                for sink in record_sinks:
+                    sink.emit(rec)
+
     def _apply(self, tpl: dict, B: int, phi: int, k: int,
                near: tuple) -> None:
         """Apply ``k`` rounds' worth of ``tpl`` starting at ``B`` with
@@ -723,26 +819,23 @@ class RoundTemplateEngine:
         # 1. trace records, byte-for-byte: the timestamp grid for all
         #    k rounds is one numpy outer sum (re-timestamped against the
         #    current phase), strided details re-derived exactly as live
-        #    execution would have produced them.
+        #    execution would have produced them.  A lone digest sink
+        #    takes the rounds as encoded lines (see line_plan); any
+        #    other sink gets records.
         record_sinks = trace._record_sinks if trace.enabled else ()
         protos = tpl["protos"]
         if record_sinks and protos:
             bases = B + phi + L * np.arange(k, dtype=np.int64)
-            times = np.add.outer(bases, npd["nrel"]).tolist()
+            times = np.add.outer(bases, npd["nrel"])
             m0 = (B - tpl["mbase"]) // L
-            for j in range(k):
-                row = times[j]
-                m = m0 + j
-                for i, (_nrel, category, source, detail,
-                        strides) in enumerate(protos):
-                    if strides:
-                        detail = dict(detail)
-                        for key, bval, stride in strides:
-                            detail[key] = bval + stride * m
-                    rec = TraceRecord(time=row[i], category=category,
-                                      source=source, detail=detail)
-                    for sink in record_sinks:
-                        sink.emit(rec)
+            sink = record_sinks[0]
+            plan = None
+            if len(record_sinks) == 1 and isinstance(sink, DigestSink):
+                if "lines" not in npd:
+                    npd["lines"] = line_plan(protos)
+                plan = npd["lines"]
+            if plan is None or not write_rounds(sink, plan, times, m0):
+                self._emit_rounds(protos, record_sinks, times.tolist(), m0)
 
         # 2. tick counts (counter-mode sinks)
         if trace.enabled:

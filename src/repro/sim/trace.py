@@ -8,7 +8,10 @@ and consumed by whichever **sinks** are attached:
 * :class:`MemorySink` — keep full :class:`TraceRecord` objects in memory
   (the historical behavior; what tests and trace queries use),
 * :class:`CounterSink` — per-category record counts only, O(1) memory,
-* :class:`StreamSink` — NDJSON records appended to a file.
+* :class:`DigestSink` — sha256 of the NDJSON export, hashed as records
+  are emitted (plus per-category counts); keeps no records,
+* :class:`StreamSink` — NDJSON records appended to a file,
+* :class:`FlightRecorderSink` — a ring buffer of the last N records.
 
 Observation cost is controlled in two layers.  A **per-category enable
 mask** gates what is emitted at all, and the :meth:`TraceLog.wants`
@@ -60,6 +63,7 @@ __all__ = [
     "TraceSink",
     "MemorySink",
     "CounterSink",
+    "DigestSink",
     "StreamSink",
     "FlightRecorderSink",
     "TraceLog",
@@ -67,6 +71,7 @@ __all__ = [
     "make_trace",
     "jsonable",
     "jsonl_sha256",
+    "line_format",
     "record_to_json",
 ]
 
@@ -137,7 +142,7 @@ _HEADER = ("time", "category", "source")
 #: the detail keys in sorted order, each with its ``,"key":`` fragment.
 _HEADS: dict[tuple[str, str], str] = {}
 _FIELDS: dict[tuple, tuple[tuple[Any, str], ...] | None] = {}
-#: records hashed per chunk by :func:`jsonl_sha256`
+#: lines hashed per chunk by :class:`DigestSink` and :func:`jsonl_sha256`
 _DIGEST_CHUNK = 4096
 
 
@@ -179,19 +184,22 @@ def record_to_json(rec: TraceRecord) -> str:
     then the detail keys in sorted order, values coerced by
     :func:`jsonable` — byte for byte ``json.dumps`` of that object with
     compact separators."""
+    return _line(rec.time, rec.category, rec.source, rec.detail)
+
+
+def _line(t: Any, category: Any, source: Any, detail: dict) -> str:
+    """:func:`record_to_json` of the record with these fields."""
     try:
-        head = _HEADS[rec.category, rec.source]
+        head = _HEADS[category, source]
     except (KeyError, TypeError):  # TypeError: unhashable, never cached
-        head = _head(rec.category, rec.source)
-    detail = rec.detail
+        head = _head(category, source)
     keys = tuple(detail)
     try:
         fields = _FIELDS[keys]
     except KeyError:
         fields = _fields(keys)
     if fields is None:
-        return record_to_json(_unshadowed(rec))
-    t = rec.time
+        return record_to_json(_unshadowed(TraceRecord(t, category, source, detail)))
     # time is written as given, never coerced: a non-JSON time raises
     out = ['{"time":', _int_repr(t) if type(t) is int else _ENCODE(t), head]
     append = out.append
@@ -216,17 +224,47 @@ def record_to_json(rec: TraceRecord) -> str:
     return "".join(out)
 
 
+def line_format(category: Any, source: Any, detail: dict,
+                holes: tuple = ()) -> tuple[str, tuple] | None:
+    """The :func:`record_to_json` line of a record with these fields as
+    a ``%``-format with ``%d`` in place of the time and of the values of
+    the detail keys in ``holes``: ``fmt % (time, *hole values)``, the
+    hole values in the returned key order, is the line of that record
+    when every one of them is an exact ``int``.  Returns ``(fmt, hole
+    keys in line order)``, or None when a detail key shadows a header
+    field (the line's layout then depends on the values)."""
+    keys = tuple(detail)
+    try:
+        fields = _FIELDS[keys]
+    except KeyError:
+        fields = _fields(keys)
+    if fields is None:
+        return None
+    out = ['{"time":%d', _head(category, source).replace("%", "%%")]
+    order: list[Any] = []
+    for key, frag in fields:
+        out.append(frag.replace("%", "%%"))
+        if key in holes:
+            out.append("%d")
+            order.append(key)
+        else:
+            # the fast paths of record_to_json write exactly these bytes
+            out.append(_ENCODE(jsonable(detail[key])).replace("%", "%%"))
+    out.append("}")
+    return "".join(out), tuple(order)
+
+
 def jsonl_sha256(records: Iterable[TraceRecord]) -> str:
     """sha256 hex digest of the JSONL text of ``records`` (one
     :func:`record_to_json` line each, ``"\\n"``-separated, no trailing
-    newline), hashed in chunks so the whole text is never built."""
-    h = hashlib.sha256()
+    newline), hashed in chunks so the whole text is never built — the
+    reference for a stored trace; :class:`DigestSink` hashes the same
+    bytes while the records are emitted."""
+    sink = DigestSink()
     lines = map(record_to_json, records)
-    sep = ""
     while chunk := list(islice(lines, _DIGEST_CHUNK)):
-        h.update((sep + "\n".join(chunk)).encode())
-        sep = "\n"
-    return h.hexdigest()
+        sink.write("\n".join(chunk))
+    return sink.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +341,67 @@ class CounterSink(TraceSink):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CounterSink total={self.total()}>"
+
+
+class DigestSink(CounterSink):
+    """sha256 of the trace's JSONL export, hashed as records arrive.
+
+    Each record is encoded by :func:`record_to_json` when it is
+    emitted; the lines are buffered and hashed ``"\\n"``-joined in
+    chunks of ``_DIGEST_CHUNK`` — exactly the bytes :func:`jsonl_sha256`
+    hashes over the stored records, without storing any.  Per-category
+    counts are kept as a :class:`CounterSink` keeps them, so a trace
+    whose only sink this is still answers ``len``/``count`` exactly.
+    Bulk writers (round-template replay) append encoded text through
+    :meth:`write` and add their counts to :attr:`counts` themselves.
+    """
+
+    needs_records = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._sha = hashlib.sha256()
+        self._sep = ""
+        #: encoded lines not hashed yet
+        self._lines: list[str] = []
+
+    def emit(self, rec: TraceRecord) -> None:
+        self.emit_fields(rec.time, rec.category, rec.source, rec.detail)
+
+    def emit_fields(self, time: Instant, category: str, source: str,
+                    detail: dict[str, Any]) -> None:
+        """:meth:`emit` of the record with these fields, without
+        building it (:meth:`TraceLog.record` calls this when the sink is
+        the trace's only consumer)."""
+        lines = self._lines
+        lines.append(_line(time, category, source, detail))
+        c = self.counts
+        c[category] = c.get(category, 0) + 1
+        if len(lines) >= _DIGEST_CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._lines:
+            self._update("\n".join(self._lines))
+            self._lines.clear()
+
+    def _update(self, text: str) -> None:
+        self._sha.update((self._sep + text).encode())
+        self._sep = "\n"
+
+    def write(self, text: str) -> None:
+        """Hash ``text`` — one or more complete, ``"\\n"``-joined,
+        non-empty lines — after every line emitted before it."""
+        self._flush()
+        self._update(text)
+
+    def hexdigest(self) -> str:
+        """Digest of every line so far (more may follow)."""
+        self._flush()
+        return self._sha.hexdigest()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<DigestSink total={self.total()}>"
 
 
 class StreamSink(TraceSink):
@@ -457,6 +556,11 @@ class TraceLog:
         self._tick_sinks = [s for s in self._sinks if not s.needs_records]
         # Cached: would a full record be consumed right now?
         self._consumes_records = bool(self._record_sinks or self._listeners)
+        # A digest sink that is the only consumer takes the fields: no
+        # TraceRecord is built for it.
+        lone = (self._record_sinks[0]
+                if len(self._record_sinks) == 1 and not self._listeners else None)
+        self._lone_digest = lone if isinstance(lone, DigestSink) else None
 
     # ------------------------------------------------------------------
     # configuration
@@ -553,6 +657,9 @@ class TraceLog:
             sink.tick(category)
         if not self._consumes_records:
             return
+        if self._lone_digest is not None:
+            self._lone_digest.emit_fields(time, category, source, detail)
+            return
         rec = TraceRecord(time=time, category=category, source=source, detail=detail)
         for sink in self._record_sinks:
             sink.emit(rec)
@@ -562,7 +669,7 @@ class TraceLog:
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> Callable[[], None]:
         """Register a live listener; returns an unsubscribe function."""
         self._listeners.append(listener)
-        self._consumes_records = True
+        self._rebuild()
 
         def unsubscribe() -> None:
             try:
@@ -596,8 +703,29 @@ class TraceLog:
         mem = self.memory
         return mem.records if mem is not None else []
 
+    def _counter(self) -> CounterSink | None:
+        """The sink whose per-category totals answer count queries: the
+        first ticked :class:`CounterSink`, else — when no memory sink
+        stores the records — the first :class:`DigestSink`."""
+        for sink in self._tick_sinks:
+            if isinstance(sink, CounterSink):
+                return sink
+        if self.memory is None:
+            for sink in self._record_sinks:
+                if isinstance(sink, DigestSink):
+                    return sink
+        return None
+
     def __len__(self) -> int:
-        return len(self._stored())
+        """Number of stored records — or, without a memory sink, of the
+        records a :class:`DigestSink` hashed."""
+        mem = self.memory
+        if mem is not None:
+            return len(mem.records)
+        for sink in self._record_sinks:
+            if isinstance(sink, DigestSink):
+                return sink.total()
+        return 0
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._stored())
@@ -632,26 +760,26 @@ class TraceLog:
     def count(self, category: str | None = None, source: str | None = None) -> int:
         """Number of records matching the filters.
 
-        Falls back to the counting sinks' per-category totals when no
-        memory sink is attached (counters-only runs); the source filter
-        then requires the full trace and raises.
+        Falls back to the counting sink's per-category totals when no
+        memory sink is attached (counters-only and digest-only runs);
+        the source filter then requires the full trace and raises.
         """
-        if self.memory is None and self._tick_sinks:
-            if source is not None:
-                raise SimulationError(
-                    "per-source counts need a MemorySink (counters-only "
-                    "traces keep per-category totals)"
-                )
-            sink = self._tick_sinks[0]
-            assert isinstance(sink, CounterSink)
-            return sink.total() if category is None else sink.count(category)
+        if self.memory is None:
+            sink = self._counter()
+            if sink is not None:
+                if source is not None:
+                    raise SimulationError(
+                        "per-source counts need a MemorySink (counters-only "
+                        "traces keep per-category totals)"
+                    )
+                return sink.total() if category is None else sink.count(category)
         return len(self.records(category=category, source=source))
 
     def category_counts(self) -> dict[str, int]:
         """Per-category record counts from whichever sink is cheapest."""
-        for sink in self._tick_sinks:
-            if isinstance(sink, CounterSink):
-                return dict(sink.counts)
+        sink = self._counter()
+        if sink is not None:
+            return dict(sink.counts)
         counts: dict[str, int] = {}
         for rec in self._stored():
             counts[rec.category] = counts.get(rec.category, 0) + 1

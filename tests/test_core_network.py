@@ -9,6 +9,7 @@ from repro.core_network import (
     FrameChunk,
     FTAClockSync,
     NodeConfig,
+    PhysicalFrame,
 )
 from repro.errors import ConfigurationError
 from repro.sim import LocalClock, Simulator, TraceCategory
@@ -220,6 +221,29 @@ def test_without_guardian_babbling_collides():
     # n1's legitimate frame was corrupted -> receivers dropped it.
     dropped = sum(c.frames_dropped_corrupt for c in cluster.controllers.values())
     assert dropped >= 1
+
+
+def test_transmit_sizes_each_frame_once_with_the_guardian(monkeypatch):
+    calls = []
+    size_bytes = PhysicalFrame.size_bytes
+
+    def counted(frame):
+        calls.append(frame)
+        return size_bytes(frame)
+
+    monkeypatch.setattr(PhysicalFrame, "size_bytes", counted)
+    sim = Simulator()
+    cluster = build_cluster(sim)
+    ctrl = cluster.controller("n0")
+    sched = cluster.schedule
+    n1_slot = sched.slots_of("n1")[0]
+    sim.at(sched.cycle_length + n1_slot.offset + n1_slot.duration // 2,
+           lambda: ctrl.force_transmit())
+    sim.run_until(3 * sched.cycle_length)
+    guardian = cluster.guardian
+    assert guardian.blocked_count == 1 and guardian.admitted_count > 0
+    assert len(calls) == guardian.admitted_count + guardian.blocked_count
+    assert len({id(f) for f in calls}) == len(calls)
 
 
 def test_guardian_admits_in_own_slot():

@@ -16,19 +16,23 @@ import pytest
 
 from repro.analysis.export import to_jsonl
 from repro.errors import SimulationError
-from repro.runner.executor import trace_digest
+from repro.runner.executor import _hash_as_emitted, trace_digest
+from repro.runner.scenarios import build_scenario, default_registry
 from repro.sim import (
     MS,
     SEC,
     CounterSink,
+    DigestSink,
     FlightRecorderSink,
     MemorySink,
     Simulator,
     StreamSink,
     TraceCategory,
     TraceLog,
+    TraceRecord,
     make_trace,
 )
+from repro.sim.trace import jsonl_sha256
 from .support import e5_gateway_system
 
 #: sha256 of to_jsonl(records) for e5_gateway_system(seed=5) run for
@@ -218,6 +222,51 @@ def test_count_falls_back_to_counter_sink_without_memory():
     assert tr.count(TraceCategory.APP) == 2
     with pytest.raises(SimulationError):
         tr.count(TraceCategory.APP, source="x")
+
+
+def test_digest_only_trace_counts_every_record():
+    tr = TraceLog(sinks=[DigestSink()])
+    tr.record(1, TraceCategory.APP, "x")
+    tr.record(2, TraceCategory.APP, "y")
+    tr.record(3, TraceCategory.FRAME_TX, "bus")
+    assert len(tr) == 3 and tr.count() == 3
+    assert tr.count(TraceCategory.APP) == 2
+    assert tr.category_counts() == {TraceCategory.APP: 2, TraceCategory.FRAME_TX: 1}
+    with pytest.raises(SimulationError):
+        tr.count(TraceCategory.APP, source="x")
+
+
+def test_a_listener_beside_a_digest_sink_still_gets_records():
+    sink = DigestSink()
+    tr = TraceLog(sinks=[sink])
+    seen = []
+    unsubscribe = tr.subscribe(seen.append)
+    tr.record(1, TraceCategory.APP, "x", v=1)
+    unsubscribe()
+    tr.record(2, TraceCategory.APP, "y")
+    assert [r.time for r in seen] == [1]
+    assert sink.hexdigest() == jsonl_sha256([TraceRecord(1, TraceCategory.APP, "x", {"v": 1}),
+                                             TraceRecord(2, TraceCategory.APP, "y")])
+
+
+@pytest.mark.parametrize("name", ["tdma-cluster", "gw-pipeline-smoke"])
+def test_digest_only_counts_equal_a_memory_twin(name):
+    spec = default_registry()[name]
+    runs = []
+    for hashed in (False, True):
+        sim = build_scenario(spec)
+        if hashed:
+            _hash_as_emitted(sim)
+        sim.run_until(spec.horizon_ns)
+        runs.append(sim)
+    memory, digest_only = (sim.trace for sim in runs)
+    assert memory.memory is not None and digest_only.memory is None
+    assert len(digest_only) == len(memory) > 0
+    assert digest_only.count() == memory.count()
+    assert digest_only.category_counts() == memory.category_counts()
+    for category in memory.category_counts():
+        assert digest_only.count(category) == memory.count(category)
+    assert trace_digest(runs[1]) == trace_digest(runs[0])
 
 
 def test_category_counts_prefers_counter_sink():

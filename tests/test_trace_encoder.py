@@ -4,7 +4,9 @@
 bytes of ``json.dumps`` over the record's JSON object.  That plain path
 is kept here, and only here, as the oracle every fast path is checked
 against.  ``jsonl_sha256`` must equal hashing the whole JSONL export,
-at every chunk boundary.
+at every chunk boundary, and the ``DigestSink`` that hashes a run's
+trace while it is emitted must equal ``jsonl_sha256`` — also for
+replayed rounds, which it takes as lines encoded from fragments.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import enum
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,13 +24,18 @@ from repro.analysis.export import to_jsonl
 from repro.ledger import record_from_result
 from repro.runner.executor import run_scenario, trace_digest
 from repro.runner.scenarios import build_scenario, default_registry
+from repro.sim.round_template import STRIDE_KEYS, line_plan, write_rounds
 from repro.sim.trace import (
+    DigestSink,
+    MemorySink,
     TraceLog,
     TraceRecord,
     jsonable,
     jsonl_sha256,
     record_to_json,
 )
+
+from .test_runtime import PINNED_DIGESTS
 
 REGISTRY = default_registry()
 FULL_TRACE = sorted(n for n, s in REGISTRY.items() if s.trace_mode == "full")
@@ -135,6 +143,117 @@ def test_jsonl_sha256_of_an_empty_trace_is_sha256_of_nothing() -> None:
     assert jsonl_sha256([]) == hashlib.sha256(b"").hexdigest()
 
 
+def _digest_sink(recs) -> DigestSink:
+    sink = DigestSink()
+    for rec in recs:
+        sink.emit(rec)
+    return sink
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+def test_digest_sink_equals_jsonl_sha256(n: int) -> None:
+    recs = _records(n)
+    sink = _digest_sink(recs)
+    assert sink.hexdigest() == jsonl_sha256(recs)
+    assert sink.hexdigest() == jsonl_sha256(recs)  # asking twice changes nothing
+    assert sink.total() == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(records, max_size=12), st.integers(0, 12))
+def test_digest_sink_equals_jsonl_sha256_on_any_records(recs, cut) -> None:
+    # written text and emitted records interleave in emission order
+    head, tail = recs[:cut], recs[cut:]
+    sink = _digest_sink(head)
+    if tail:
+        sink.write("\n".join(map(record_to_json, tail)))
+    assert sink.hexdigest() == jsonl_sha256(recs)
+
+
+class _Text(DigestSink):
+    """A digest sink that also keeps the text written to it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.text: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.text.append(text)
+        super().write(text)
+
+
+stride_values = st.one_of(st.integers(), st.booleans(), st.sampled_from(list(Level)))
+# the static text of a line replay is a %-format: '%' must come out literally
+percents = st.sampled_from(["%", "%d", "100%%", "%s%"])
+protos = st.tuples(
+    st.one_of(texts, percents, st.sampled_from(["sync.round", "frame.tx"])),
+    st.one_of(texts, percents, st.sampled_from(["ctrl.n0", "bus"])),
+    # string keys only: a record with unorderable keys never gets emitted
+    st.dictionaries(st.one_of(texts, percents,
+                              st.sampled_from(["time", "category", "source", "slot"])),
+                    st.one_of(values, percents), max_size=4),
+    st.dictionaries(st.sampled_from(STRIDE_KEYS), st.tuples(stride_values, stride_values)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(protos, min_size=1, max_size=3),
+       st.one_of(st.integers(-1000, 1000), st.integers(-(2**62), 2**62)),
+       st.integers(1, 3), st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+def test_replayed_lines_equal_record_to_json(drawn, m0, k, base, step) -> None:
+    """Lines a replay encodes from fragments equal ``record_to_json`` of
+    the records the replay would otherwise build; a shadowing detail key
+    or a non-``int`` stride base or stride takes the record path."""
+    built = tuple(
+        (i, category, source, {**detail, **{key: b for key, (b, _s) in strided.items()}},
+         tuple((key, b, s) for key, (b, s) in strided.items()))
+        for i, (category, source, detail, strided) in enumerate(drawn)
+    )
+    times = [[base + step * j + i for i in range(len(built))] for j in range(k)]
+    want = []
+    for j, row in enumerate(times):
+        for t, (_nrel, category, source, detail, strides) in zip(row, built):
+            detail = {**detail, **{key: b + s * (m0 + j) for key, b, s in strides}}
+            want.append(record_to_json(TraceRecord(t, category, source, detail)))
+    plan = line_plan(built)
+    shadowed = any(key in ("time", "category", "source")
+                   for _n, _c, _s, detail, _st in built for key in detail)
+    inexact = any(type(v) is not int
+                  for *_, strides in built for _key, b, s in strides for v in (b, s))
+    assert (plan is None) == (shadowed or inexact)
+    if plan is None:
+        return
+    sink = _Text()
+    mmax = max(abs(m0), abs(m0 + k - 1))
+    too_large = any(abs(b) >= 2**62 or abs(s) * mmax >= 2**62
+                    for *_, strides in built for _key, b, s in strides)
+    # values that could leave int64 take the record path instead
+    assert write_rounds(sink, plan, np.asarray(times, dtype=np.int64), m0) != too_large
+    if too_large:
+        assert not sink.text and not sink.counts
+        return
+    assert "\n".join(sink.text) == "\n".join(want)
+    assert sink.total() == len(want)
+    assert sink.hexdigest() == hashlib.sha256("\n".join(want).encode()).hexdigest()
+
+
+def test_a_replay_longer_than_one_chunk_is_hashed_in_pieces() -> None:
+    built = ((0, "sync.round", "ctrl.n0", {"cycle": 7, "correction": 0}, (("cycle", 7, 1),)),
+             (5, "vn.dispatch", "vn%d", {"message": "100%"}, ()))
+    plan = line_plan(built)
+    k = 5000
+    times = np.add.outer(np.arange(k, dtype=np.int64) * 100, np.array([0, 5]))
+    sink = _Text()
+    assert write_rounds(sink, plan, times, 3)
+    assert len(sink.text) > 1
+    want = [record_to_json(TraceRecord(t, c, s, {**d, **{key: b + step * (3 + j)
+                                                       for key, b, step in strides}}))
+            for j, row in enumerate(times.tolist())
+            for t, (_n, c, s, d, strides) in zip(row, built)]
+    assert "\n".join(sink.text) == "\n".join(want)
+    assert sink.counts == {"sync.round": k, "vn.dispatch": k}
+
+
 @pytest.mark.parametrize("name", FULL_TRACE)
 def test_trace_digest_matches_the_oracle_on_full_trace_scenarios(name: str) -> None:
     spec = REGISTRY[name]
@@ -165,3 +284,21 @@ def test_result_reports_digest_time_but_ledger_leaves_it_out() -> None:
     result = run_scenario(spec)
     assert result["digest_s"] >= 0
     assert "digest_s" not in record_from_result(spec, result, "code")
+
+
+@pytest.mark.parametrize("name", ["tdma-cluster", "tt-vn-pipeline", "gw-pipeline-smoke"])
+def test_run_scenario_stores_no_records(name: str, monkeypatch) -> None:
+    def refuse(self, rec):
+        raise AssertionError("run_scenario stored a trace record")
+
+    monkeypatch.setattr(MemorySink, "emit", refuse)
+    result = run_scenario(REGISTRY[name])
+    assert "error" not in result
+    assert (result["digest"], result["events_executed"]) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["gw-pipeline-flow", "car-flow"])
+def test_flow_traced_runs_keep_their_records(name: str) -> None:
+    result = run_scenario(REGISTRY[name])
+    assert result["flows"]
+    assert (result["digest"], result["events_executed"]) == PINNED_DIGESTS[name]
