@@ -183,6 +183,42 @@ def _build_gateway_pipeline(spec: ScenarioSpec) -> Simulator:
                 Humidity={"pct": 50},
             ), sender_job=self.name)
 
+        # -- round-template support (see repro.sim.round_template) -----
+        def rt_state(self):
+            c = super().rt_state()
+            c["sent"] = self.sent
+            c["last"] = -1 if self._last is None else self._last
+            return c
+
+        def rt_check(self, delta):
+            # A round that sent left a queued chunk behind, which replay
+            # cannot recreate: it never compiles.
+            return delta["last"] == 0 and super().rt_check(delta)
+
+        def rt_advance(self, delta, k):
+            super().rt_advance(delta, k)
+            self.sent += delta["sent"] * k
+
+        def _idle_through(self, boundary, round_len):
+            """No window in ``[boundary, boundary + round_len)`` can send."""
+            return (self._last is not None
+                    and boundary + round_len - 1 - self._last < sender_period)
+
+        def rt_fingerprint(self, boundary, round_len):
+            if not self.active or self.vn is None:
+                return (int(self.active), 0)
+            if self._last is None or boundary - self._last >= sender_period:
+                return (1, 2)  # the round's first window sends
+            if self._idle_through(boundary, round_len):
+                return (1, 1)
+            return None  # the period runs out inside this round
+
+        def rt_headroom(self, boundary, round_len):
+            if (self.active and self.vn is not None
+                    and self._idle_through(boundary, round_len)):
+                return (self._last + sender_period - boundary) // round_len
+            return None
+
     class Viewer(Job):
         def __init__(self, jsim, name, das, partition):
             super().__init__(jsim, name, das, partition)
@@ -190,6 +226,19 @@ def _build_gateway_pipeline(spec: ScenarioSpec) -> Simulator:
 
         def on_message(self, port_name, instance, arrival):
             self.deliveries += 1
+
+        # -- round-template support (see repro.sim.round_template) -----
+        def rt_state(self):
+            c = super().rt_state()
+            c["deliveries"] = self.deliveries
+            return c
+
+        def rt_advance(self, delta, k):
+            super().rt_advance(delta, k)
+            self.deliveries += delta["deliveries"] * k
+
+        def rt_fingerprint(self, boundary, round_len):
+            return (int(self.active),)
 
     sim = Simulator(seed=spec.seed, trace=make_trace(spec.trace_mode))
     builder = SystemBuilder(sim=sim)
@@ -382,9 +431,10 @@ def build_scenario(spec: ScenarioSpec) -> Simulator:
         # Steady-state fast-forward, on by default for scenario runs
         # (``round_template: False`` — the CLI's --no-round-template —
         # keeps exact event-by-event execution).  Scenarios with ET
-        # traffic and gateways (the car family) arm too: their dynamics
-        # participate via fingerprints.  Arming additionally requires a
-        # runtime that supports templates (only ``sim``).
+        # traffic and gateways (the car family, the gateway pipeline)
+        # arm too: their dynamics participate via fingerprints.  Arming
+        # additionally requires a runtime that supports templates (only
+        # ``sim``).
         sim.round_template.activate()
     return sim
 

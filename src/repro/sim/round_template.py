@@ -32,11 +32,14 @@ cycle hyperperiod show up as far events instead of exploding the
 round).  At every boundary it snapshots observable state (metric
 counters, histograms, trace tick counts, and every registered
 participant's ``rt_state()``) plus the exact trace records the round
-emitted.  A template compiles per bank key — immediately in
+emitted (captured as field tuples, see
+:meth:`~repro.sim.trace.TraceLog.capture`).  A round whose closing
+boundary is unvetoed compiles per bank key — immediately in
 counter-trace runs (no records to prototype), or from two paired
 occurrences of the same key in full-trace runs (record offsets must
 match relative to each occurrence's phase, with an integer per-round
-stride on whitelisted keys like ``cycle``).
+stride on whitelisted keys like ``cycle``).  The bank lives for one
+``run_until`` call: :meth:`RoundTemplateEngine.end` frees it.
 
 Replaying ``k`` rounds then means: bulk-emit ``k`` copies of the record
 prototypes re-timestamped against the current boundary phase (the
@@ -99,9 +102,12 @@ Participant protocol (duck-typed)
     exactly for a compiled round to be replayed at this boundary (queue
     occupancy, freshness ages, value-driven mode bits — including
     look-ahead over the round when behaviour can change mid-round).
-    ``None`` vetoes the boundary entirely: the round runs live and is
-    not recorded.  A participant that can never be replayed declares
-    the class attribute ``rt_fingerprint = None`` instead — a
+    ``None`` vetoes the boundary entirely: the round it opens runs live
+    and is not recorded, and the round it closes is not compiled (its
+    hidden exit state would not be recreated by a replay).
+    :meth:`RoundTemplateEngine.stats` counts the vetoes per participant
+    class under ``vetoes``.  A participant that can never be replayed
+    declares the class attribute ``rt_fingerprint = None`` instead — a
     *permanent veto* (the base :class:`~repro.platform.job.Job` does).
     :meth:`RoundTemplateEngine.begin` then leaves the engine off for the
     whole run, no boundary is scanned, and
@@ -125,7 +131,6 @@ Participant protocol (duck-typed)
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -244,20 +249,25 @@ class RoundTemplateEngine:
         self._labels: set[str] = set()
         self._hooks_cache: tuple[list[Any], list[Any], list[Any]] | None = None
         self._boundary = 0
-        self._capture: list[TraceRecord] = []
-        self._capture_listener = self._capture.append
-        self._unsub: Callable[[], None] | None = None
-        self._capture_wanted = False
+        #: ``(time, category, source, detail)`` of each record the
+        #: current round emitted (filled by the trace while a full-trace
+        #: run is armed, see :meth:`~repro.sim.trace.TraceLog.capture`)
+        self._capture: list[tuple] = []
         # template bank -------------------------------------------------
         self._bank: dict[tuple, dict] = {}
         self._cands: dict[tuple, dict] = {}
         self._prev: tuple | None = None
+        self._armed = False
         # statistics ----------------------------------------------------
         self.rounds_replayed = 0
         self.replays = 0
         self.recordings = 0
         self.failed_recordings = 0
         self.punctures = 0
+        #: bank size when the last run ended (the bank is freed then)
+        self._bank_size = 0
+        #: participant class -> boundaries it was the first to veto
+        self._vetoes: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # configuration & registration
@@ -364,24 +374,13 @@ class RoundTemplateEngine:
             self._boundary = (self.sim._now // self._round_len + 1) * self._round_len
 
     def _reset(self) -> None:
-        self._abort_capture()
+        # The capture list stays installed in the trace across resets
+        # (punctures, registrations): templates compiled after one must
+        # still pair the records of their rounds.
         self._capture.clear()
         self._bank.clear()
         self._cands.clear()
         self._prev = None
-        self._ensure_capture()
-
-    def _abort_capture(self) -> None:
-        if self._unsub is not None:
-            self._unsub()
-            self._unsub = None
-
-    def _ensure_capture(self) -> None:
-        """Keep the record capture subscribed across resets; without it,
-        every template compiled after a puncture would pair empty record
-        lists and replay record-less rounds."""
-        if self._capture_wanted and self._unsub is None:
-            self._unsub = self.sim.trace.subscribe(self._capture_listener)
 
     # ------------------------------------------------------------------
     # kernel entry points
@@ -413,46 +412,58 @@ class RoundTemplateEngine:
             # would change what it sees relative to model state.
             return None
         # Recording is continuous: every live round is a potential
-        # template occurrence, so capture stays subscribed for the whole
-        # run (cleared at each boundary) — and must survive mid-run
-        # resets (punctures, registrations), which re-establish it via
-        # ``_ensure_capture``.
-        self._capture_wanted = sim.trace.wants_records
-        self._ensure_capture()
+        # template occurrence, so a full trace captures the record
+        # fields for the whole run (cleared at each boundary).
+        if sim.trace.wants_records:
+            sim.trace.capture(self._capture)
+        self._armed = True
         self._boundary = (sim._now // self._round_len + 1) * self._round_len
         return self
+
+    def end(self) -> None:
+        """Close the run :meth:`begin` armed: stop the capture and free
+        the bank, the candidates and the captured records.  The next
+        ``begin`` would drop them anyway; freeing them here keeps a
+        finished simulator from holding its templates until a cyclic
+        garbage collection."""
+        self.sim.trace.capture(None)
+        self._armed = False
+        self._bank_size = len(self._bank)
+        self._reset()
 
     def on_boundary(self, t: int) -> None:
         """Called by the kernel with the queue drained up to (excluding)
         ``next_boundary``: compiles the round that just completed (if it
         was observed), then replays from the bank or runs the next round
         live.  Always either advances the boundary or replays, so kernel
-        progress is guaranteed."""
+        progress is guaranteed.
+
+        The boundary's key both closes the recorded round and opens the
+        next one.  A round compiles only if its exit is unvetoed: a
+        vetoed exit means the round left hidden state behind (a queued
+        chunk, deferred work) that replaying it would not recreate."""
         B = self._boundary
         L = self._round_len
         scan = self._scan(B)
+        key = self._key(B, scan[0]) if scan is not None else None
         snap: dict | None = None
         prev = self._prev
         self._prev = None
-        if prev is not None and scan is not None:
-            key, psnap, entry_B = prev
+        if prev is not None and key is not None:
+            pkey, psnap, entry_B = prev
             snap = self._snapshot(scan[0])
             if snap is not None:
                 records = list(self._capture)
                 delta = self._delta(psnap, snap)
                 if delta is not None:
-                    self._compile(key, psnap, delta, records, entry_B)
+                    self._compile(pkey, psnap, delta, records, entry_B)
                 else:
                     self.failed_recordings += 1
         self._capture.clear()
-        if scan is None:
-            self._boundary = B + L
-            return
-        near, far_min = scan
-        key = self._key(B, near)
         if key is None:
             self._boundary = B + L
             return
+        near, far_min = scan
         tpl = self._bank.get(key)
         if tpl is not None:
             k = self._replay(tpl, near, far_min, B, t)
@@ -593,15 +604,14 @@ class RoundTemplateEngine:
         """
         L = self._round_len
         protos: list[tuple[int, str, str, dict, tuple]] = []
-        for r1, r2 in zip(r1s, r2s):
-            if r1.category != r2.category or r1.source != r2.source:
+        for (t1, cat1, src1, dd1), (t2, cat2, src2, dd2) in zip(r1s, r2s):
+            if cat1 != cat2 or src1 != src2:
                 return None
-            nrel = r2.time - B2 - phi2
-            if nrel != r1.time - B1 - phi1:
+            nrel = t2 - B2 - phi2
+            if nrel != t1 - B1 - phi1:
                 return None
             if not 0 <= nrel < L:
                 return None
-            dd1, dd2 = r1.detail, r2.detail
             if tuple(sorted(dd1)) != tuple(sorted(dd2)):
                 return None
             strides: list[tuple[str, int, int]] = []
@@ -614,7 +624,7 @@ class RoundTemplateEngine:
                     strides.append((key, v2, (v2 - v1) // n))
                 else:
                     return None
-            protos.append((nrel, r1.category, r1.source, dd2, tuple(strides)))
+            protos.append((nrel, cat1, src1, dd2, tuple(strides)))
         return tuple(protos)
 
     # ------------------------------------------------------------------
@@ -622,18 +632,26 @@ class RoundTemplateEngine:
     # ------------------------------------------------------------------
     def _fingerprint(self, B: int) -> tuple | None:
         """Participant fingerprint tuple at boundary ``B`` (None vetoes
-        the boundary: the round runs live and is never recorded)."""
+        the boundary: the round runs live and is never recorded).  The
+        class of the first vetoing participant is counted in
+        :attr:`_vetoes`."""
         L = self._round_len
-        hooks, _headroom, vetoes = self._part_hooks
-        if vetoes:
+        hooks, _headroom, static = self._part_hooks
+        if static:
+            self._veto(static[0])
             return None
         fps = []
         for fn in hooks:
             v = fn(B, L)
             if v is None:
+                self._veto(getattr(fn, "__self__", fn))
                 return None
             fps.append(_canon(v))
         return tuple(fps)
+
+    def _veto(self, participant: Any) -> None:
+        name = type(participant).__name__
+        self._vetoes[name] = self._vetoes.get(name, 0) + 1
 
     def _key(self, B: int, near: tuple) -> tuple | None:
         fp = self._fingerprint(B)
@@ -908,9 +926,10 @@ class RoundTemplateEngine:
             "recordings": self.recordings,
             "failed_recordings": self.failed_recordings,
             "punctures": self.punctures,
-            "bank_templates": len(self._bank),
+            "bank_templates": len(self._bank) if self._armed else self._bank_size,
             "static_veto": sorted({type(p).__name__
                                    for p in self._part_hooks[2]}),
+            "vetoes": dict(sorted(self._vetoes.items())),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

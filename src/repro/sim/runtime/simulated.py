@@ -55,7 +55,8 @@ class SimulatedRuntime(Runtime):
         drain bound is held at the next round boundary; each time the
         queue is drained up to a boundary the engine gets a chance to
         record or bulk-replay whole rounds from a bank of
-        phase-normalized templates (see :mod:`repro.sim.round_template`).
+        phase-normalized templates (see :mod:`repro.sim.round_template`);
+        the engine frees its bank when the call returns.
         """
         sim = self._bound()
         sim._guard_reentry()
@@ -65,7 +66,7 @@ class SimulatedRuntime(Runtime):
         heap = queue._heap
         pop = heapq.heappop
         executed = 0
-        engine = sim.round_template.begin(t)
+        engine = armed = sim.round_template.begin(t)
         bound = t
         if engine is not None:
             nb = engine.next_boundary
@@ -108,5 +109,7 @@ class SimulatedRuntime(Runtime):
                 sim._now = t
         finally:
             sim.events_executed += executed
+            if armed is not None:
+                armed.end()
             sim._running = False
             sim._stopped = False

@@ -549,6 +549,9 @@ class TraceLog:
         self._listeners: list[Callable[[TraceRecord], None]] = []
         #: None = every category enabled; else the enabled set.
         self._mask: frozenset[str] | None = None
+        #: ``(time, category, source, detail)`` of every record a sink
+        #: consumed, appended here while set (see :meth:`capture`).
+        self._captured: list[tuple] | None = None
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -572,10 +575,19 @@ class TraceLog:
         Unlike :meth:`wants`, listeners do not count: the round-template
         engine uses this to decide whether replayed rounds must re-emit
         record prototypes (full-trace runs) or only bump tick counts
-        (counter-mode runs), and its own capture listener must not flip
-        that decision.
+        (counter-mode runs).
         """
         return self.enabled and bool(self._record_sinks)
+
+    def capture(self, into: list[tuple] | None) -> None:
+        """Append the ``(time, category, source, detail)`` fields of
+        every record the sinks consume to ``into`` (None stops).
+
+        Unlike a listener, a capture keeps the lone-digest fast path: no
+        :class:`TraceRecord` is built for it.  The round-template engine
+        captures the records of the rounds it records this way.
+        """
+        self._captured = into
 
     @property
     def sinks(self) -> tuple[TraceSink, ...]:
@@ -657,6 +669,9 @@ class TraceLog:
             sink.tick(category)
         if not self._consumes_records:
             return
+        captured = self._captured
+        if captured is not None:
+            captured.append((time, category, source, detail))
         if self._lone_digest is not None:
             self._lone_digest.emit_fields(time, category, source, detail)
             return

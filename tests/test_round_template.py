@@ -81,17 +81,152 @@ def _run_registry(name: str) -> dict:
     return sim.round_template.stats()
 
 
-def test_gateway_pipeline_engine_stays_off_on_unported_jobs() -> None:
-    """ET virtual networks and gateways are participants, not permanent
-    blockers.  The gateway pipeline's jobs never declare a replayable
-    fingerprint, though: they keep the base ``rt_fingerprint = None``, a
-    permanent veto, so the engine stays off for the whole run (nothing
-    is recorded or replayed) and its stats name the vetoing classes."""
+def test_gateway_pipeline_replays_and_unported_jobs_keep_engine_off() -> None:
+    """The gateway pipeline's jobs declare replayable fingerprints, so
+    its ET network, hidden gateway and TT network replay at least 80% of
+    the rounds.  A job that declares none keeps the base
+    ``rt_fingerprint = None``, a permanent veto: with one added to the
+    same model the engine stays off for the whole run (nothing is
+    recorded or replayed) and its stats name the vetoing class."""
+    from repro.platform import Job, Partition
+
+    spec = REGISTRY["gw-pipeline-smoke"]
     stats = _run_registry("gw-pipeline-smoke")
+    assert stats["static_veto"] == []
+    rounds = spec.horizon_ns // stats["round_length_ns"]
+    assert stats["rounds_replayed"] >= 0.8 * rounds
+
+    class Unported(Job):
+        pass
+
+    sim = build_scenario(spec)
+    partition = next(p for p in sim.round_template._participants
+                     if isinstance(p, Partition))
+    Unported(sim, "unported", partition.jobs[0].das, partition)
+    try:
+        sim.run_until(spec.horizon_ns)
+    finally:
+        sim.trace.close()
+    stats = sim.round_template.stats()
     assert stats["active"]
     assert stats["recordings"] == 0
     assert stats["replays"] == 0
-    assert stats["static_veto"] == ["Sender", "Viewer"]
+    assert stats["static_veto"] == ["Unported"]
+
+
+def test_vetoes_name_the_participants_that_keep_rounds_live() -> None:
+    """``stats()["vetoes"]`` counts, per participant class, the
+    boundaries where it was the first to veto; a pure-TT cluster whose
+    rounds all replay has none."""
+    vetoes = _run_registry("gw-pipeline-smoke")["vetoes"]
+    assert vetoes.get("Sender", 0) > 0 and vetoes.get("Partition", 0) > 0
+    assert _run_registry("tdma-cluster")["vetoes"] == {}
+
+
+class _ExitVeto:
+    """Toy participant: unvetoed at even-numbered boundaries, vetoing at
+    odd ones, so every round that enters unvetoed exits on a veto."""
+
+    def __init__(self, round_len: int) -> None:
+        self.round_len = round_len
+
+    def rt_state(self) -> dict[str, int]:
+        return {}
+
+    def rt_check(self, delta: dict[str, int]) -> bool:
+        return True
+
+    def rt_advance(self, delta: dict[str, int], k: int) -> None:
+        pass
+
+    def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
+        return None if (boundary // self.round_len) % 2 else (0,)
+
+
+@pytest.mark.parametrize("mode", ["full", "counters"])
+def test_round_with_vetoed_exit_never_compiles(mode: str) -> None:
+    """A round compiles only when the boundary that closes it is
+    unvetoed: the exit veto marks hidden state the round left behind."""
+    from repro.core_network import ClusterBuilder, FrameChunk, NodeConfig
+    from repro.sim import MS, Simulator, make_trace
+
+    def run(participant: bool) -> dict:
+        sim = Simulator(seed=3, trace=make_trace(mode))
+        sim.round_template.activate()
+        builder = ClusterBuilder(sim)
+        for name in ("n0", "n1"):
+            builder.add_node(NodeConfig(name, slot_capacity_bytes=32,
+                                        reservations={"v": 20}))
+        cluster = builder.build()
+        cluster.start()
+        cluster.controller("n0").register_chunk_source(
+            "v", lambda slot, budget: [FrameChunk(vn="v", message="m",
+                                                  data=b"\x05")])
+        if participant:
+            sim.round_template.register_participant(
+                _ExitVeto(sim.round_template.round_length))
+        sim.run_until(50 * MS)
+        return sim.round_template.stats()
+
+    assert run(participant=False)["recordings"] >= 1
+    stats = run(participant=True)
+    assert stats["recordings"] == 0
+    assert stats["replays"] == 0
+    assert stats["vetoes"]["_ExitVeto"] > 0
+
+
+#: gw-pipeline-smoke's send and TT periods, crossed: each pair moves
+#: where the sender's period runs out against the round grid.
+_GRID = [(sender, dst) for sender in (1, 2, 3, 5, 7, 11) for dst in (10, 20)]
+
+
+def _grid_spec(variant):
+    from dataclasses import replace
+
+    from repro.sim import MS
+
+    if variant == "crash":
+        spec = replace(REGISTRY["fault-controller-crash"], horizon_ns=300 * MS)
+        return spec.with_param("crash_controller_at_ns", 97 * MS)
+    sender, dst = variant
+    return (REGISTRY["gw-pipeline-smoke"]
+            .with_param("sender_period_ns", sender * MS)
+            .with_param("dst_period_ns", dst * MS))
+
+
+@pytest.mark.parametrize("variant", [*_GRID, "crash"],
+                         ids=[*(f"send{s}ms-dst{d}ms" for s, d in _GRID), "crash97ms"])
+def test_gateway_pipeline_replay_parity_grid(variant) -> None:
+    """Replay on vs. off over sender and TT periods the registry does
+    not pin, plus a crash that lands off the registry's instant."""
+    spec = _grid_spec(variant)
+    fast = run_scenario(spec)
+    slow = run_scenario(spec.with_param("round_template", False))
+    assert "error" not in fast and "error" not in slow
+    assert fast["round_template"]["rounds_replayed"] > 0
+    assert _comparable(fast) == _comparable(slow)
+
+
+def test_run_end_frees_the_bank_and_the_next_run_replays() -> None:
+    """The bank lives for one ``run_until``: it is freed when the call
+    returns (stats keep the size it reached), the trace capture is
+    detached, and a second call on the same full-trace simulator
+    compiles and replays afresh."""
+    from repro.sim import MS
+
+    sim = build_scenario(REGISTRY["tdma-smoke"])
+    engine = sim.round_template
+    try:
+        sim.run_until(100 * MS)
+        first = engine.rounds_replayed
+        assert first > 0 and engine.stats()["bank_templates"] == 1
+        assert engine._bank == {} and engine._capture == []
+        assert sim.trace._captured is None
+        sim.run_until(250 * MS)
+    finally:
+        sim.trace.close()
+    assert engine.rounds_replayed - first > 0
+    assert engine._bank == {}
 
 
 def test_jobs_monitors_and_repositories_are_participants() -> None:

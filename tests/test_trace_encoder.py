@@ -297,6 +297,42 @@ def test_run_scenario_stores_no_records(name: str, monkeypatch) -> None:
     assert (result["digest"], result["events_executed"]) == PINNED_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", ["gw-pipeline-smoke", "fault-controller-crash"])
+def test_replaying_full_trace_run_builds_no_records(name: str, monkeypatch) -> None:
+    """The round-template engine captures the fields of its recorded
+    rounds without turning off the lone-digest fast path: live rounds,
+    recorded rounds and replayed rounds alike build no record."""
+    built = {"n": 0}
+    init = TraceRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built["n"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecord, "__init__", counting)
+    result = run_scenario(REGISTRY[name])
+    assert (result["digest"], result["events_executed"]) == PINNED_DIGESTS[name]
+    assert result["round_template"]["rounds_replayed"] > 0
+    assert built["n"] == 0
+
+
+def test_capture_takes_record_fields_from_every_sink_path() -> None:
+    """``TraceLog.capture`` sees what the sinks consume — through the
+    lone-digest fast path and the record path — and nothing masked."""
+    fields = []
+    for sinks in ([DigestSink()], [MemorySink(), DigestSink()]):
+        tr = TraceLog(sinks=sinks)
+        tr.set_mask({"app"})
+        captured: list[tuple] = []
+        tr.capture(captured)
+        tr.record(1, "app", "a", x=1)
+        tr.record(2, "frame.tx", "b", y=2)
+        tr.capture(None)
+        tr.record(3, "app", "c")
+        fields.append(captured)
+    assert fields[0] == fields[1] == [(1, "app", "a", {"x": 1})]
+
+
 @pytest.mark.parametrize("name", ["gw-pipeline-flow", "car-flow"])
 def test_flow_traced_runs_keep_their_records(name: str) -> None:
     result = run_scenario(REGISTRY[name])
