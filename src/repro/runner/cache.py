@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -29,14 +31,26 @@ def _file_sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@cache
+def _package_digest() -> str:
+    return code_digest((Path(__file__).resolve().parent.parent,))
+
+
 def code_digest(roots: tuple[Path, ...] | None = None) -> str:
     """Digest of every ``.py`` file under ``roots`` (default: the
-    installed ``repro`` package), keyed by stable relative path."""
+    installed ``repro`` package), keyed by stable relative path.
+    Bytecode-cache directories (``__pycache__``) are skipped.  The
+    package digest is computed once per process: the source a process
+    runs does not change under it."""
     if roots is None:
-        roots = (Path(__file__).resolve().parent.parent,)
+        return _package_digest()
     h = hashlib.sha256()
     for root in roots:
-        for path in sorted(root.rglob("*.py")):
+        paths = []
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+            paths.extend(Path(dirpath, f) for f in filenames if f.endswith(".py"))
+        for path in sorted(paths):
             h.update(str(path.relative_to(root)).encode())
             h.update(_file_sha(path).encode())
     return h.hexdigest()

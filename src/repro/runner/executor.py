@@ -19,7 +19,6 @@ import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from functools import lru_cache
 from pathlib import Path
 
 from ..errors import ConfigurationError
@@ -39,13 +38,6 @@ __all__ = ["LEDGER_FILENAME", "SweepRunner", "run_scenario", "trace_digest"]
 
 #: ledger file name inside a cache directory
 LEDGER_FILENAME = "ledger.ndjsonl"
-
-
-@lru_cache(maxsize=1)
-def _process_code_digest() -> str:
-    """Code digest, hashed once per process (workers reuse it across
-    the scenarios they execute)."""
-    return code_digest()
 
 
 def trace_digest(sim) -> str:
@@ -102,7 +94,7 @@ def run_scenario(spec: ScenarioSpec,
 
         try:
             RunLedger(ledger_path).append(
-                record_from_result(spec, result, _process_code_digest()))
+                record_from_result(spec, result, code_digest()))
         except OSError as exc:
             result["ledger_error"] = str(exc)
     return result
@@ -175,7 +167,7 @@ def _pool_worker_chunk(specs: list[ScenarioSpec],
                 from ..ledger import record_from_result
 
                 records.append(record_from_result(spec, result,
-                                                  _process_code_digest()))
+                                                  code_digest()))
         except Exception:
             worker_post({"event": "finish", "scenario": spec.name,
                          "error": True})

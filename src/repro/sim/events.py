@@ -195,36 +195,6 @@ class EventQueue:
         heapq.heapify(heap)
         self._dead = 0
 
-    def retime_span(self, bound: Instant,
-                    mapper: "Callable[[Instant, int, ScheduledEvent], Instant | None]",
-                    ) -> None:
-        """Re-timestamp live events with ``time < bound`` individually.
-
-        The per-event sibling of :meth:`shift_span`, used by
-        round-template replay when the chains pending inside a
-        replayed round advance by *different* strides (a drifting
-        producer next to an exactly-periodic slot chain).  ``mapper``
-        receives ``(time, priority, event)`` and returns the event's new
-        time, or None to leave it untouched.  Cancelled entries are
-        purged while the heap is rewritten anyway.
-        """
-        heap = self._heap
-        out = []
-        for tm, pr, sq, ev in heap:
-            if ev.cancelled:
-                ev._queue = None
-                continue
-            if tm < bound:
-                nt = mapper(tm, pr, ev)
-                if nt is not None and nt != tm:
-                    ev.time = nt
-                    out.append((nt, pr, sq, ev))
-                    continue
-            out.append((tm, pr, sq, ev))
-        heap[:] = out
-        heapq.heapify(heap)
-        self._dead = 0
-
     def clear(self) -> None:
         """Drop every pending event."""
         for entry in self._heap:

@@ -49,11 +49,13 @@ timestamp grid is a preallocated numpy outer sum; a lone
 histogram buckets
 (:meth:`~repro.sim.metrics.Histogram.bulk_apply`), ``events_executed``,
 and every participant's statistics by ``k`` times the per-round delta,
-advance the pending heap events by their observed successor strides,
-and skip ahead.  Only *periodic* templates — every pending chain
-advances by exactly one round length — replay ``k`` rounds at once;
-any other template replays one round at a time, advancing each pending
-event by its own observed stride.  Byte-for-byte trace parity is
+shift the pending heap events by ``k`` rounds, and skip ahead.  Only
+*periodic* rounds are banked: every chain pending in the round must come
+back exactly one round later.  A round that holds an *off-grid* chain (a
+:class:`~repro.sim.kernel.PeriodicTask` whose period does not divide the
+round length, such as a 2 ms partition window against a 224.4 µs cycle)
+is recognised in the boundary heap walk and runs live with no key and no
+snapshot.  Byte-for-byte trace parity is
 *checked, not assumed*: templates are built from observed equality, the
 boundary signature and fingerprint are re-verified before every replay
 (the bank lookup *is* that verification), and any deviation — an
@@ -131,6 +133,7 @@ Participant protocol (duck-typed)
 from __future__ import annotations
 
 import math
+from types import MethodType
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -240,7 +243,10 @@ class RoundTemplateEngine:
     """Round-template compiler and fast-forward executor for one simulator."""
 
     def __init__(self, sim: "Simulator") -> None:
+        from .kernel import PeriodicTask  # local import: kernel imports us
+
         self.sim = sim
+        self._ptask = PeriodicTask
         self._active = False
         self._round_len = 0
         self._cycle_periods: list[int] = []
@@ -264,6 +270,9 @@ class RoundTemplateEngine:
         self.recordings = 0
         self.failed_recordings = 0
         self.punctures = 0
+        #: boundaries passed with no key: the round holds an off-grid
+        #: periodic chain and no recorded round closes there
+        self.offgrid = 0
         #: bank size when the last run ended (the bank is freed then)
         self._bank_size = 0
         #: participant class -> boundaries it was the first to veto
@@ -441,17 +450,32 @@ class RoundTemplateEngine:
         The boundary's key both closes the recorded round and opens the
         next one.  A round compiles only if its exit is unvetoed: a
         vetoed exit means the round left hidden state behind (a queued
-        chunk, deferred work) that replaying it would not recreate."""
+        chunk, deferred work) that replaying it would not recreate.
+
+        A round that holds an *off-grid* chain (see :meth:`_scan`) can
+        never compile into a periodic template, so it is neither looked
+        up in the bank nor snapshotted at entry; when no recorded round
+        closes at its boundary either, the engine advances without
+        computing the key."""
         B = self._boundary
         L = self._round_len
-        scan = self._scan(B)
-        key = self._key(B, scan[0]) if scan is not None else None
-        snap: dict | None = None
         prev = self._prev
         self._prev = None
+        scan = self._scan(B, prev is None)
+        if scan is None or (prev is None and scan[2]):
+            # An unregistered label, or an off-grid round with nothing to
+            # close: no key, no fingerprints, no snapshot.
+            if scan is not None:
+                self.offgrid += 1
+            self._capture.clear()
+            self._boundary = B + L
+            return
+        near, far_min, offgrid = scan
+        key = self._key(B, near)
+        snap: dict | None = None
         if prev is not None and key is not None:
             pkey, psnap, entry_B = prev
-            snap = self._snapshot(scan[0])
+            snap = self._snapshot(near)
             if snap is not None:
                 records = list(self._capture)
                 delta = self._delta(psnap, snap)
@@ -460,10 +484,9 @@ class RoundTemplateEngine:
                 else:
                     self.failed_recordings += 1
         self._capture.clear()
-        if key is None:
+        if key is None or offgrid:
             self._boundary = B + L
             return
-        near, far_min = scan
         tpl = self._bank.get(key)
         if tpl is not None:
             k = self._replay(tpl, near, far_min, B, t)
@@ -485,19 +508,28 @@ class RoundTemplateEngine:
     # ------------------------------------------------------------------
     # observation machinery
     # ------------------------------------------------------------------
-    def _scan(self, B: int) -> tuple[tuple, int | None] | None:
+    def _scan(self, B: int, stop_offgrid: bool,
+              ) -> tuple[tuple, int | None, bool] | None:
         """The pending queue's shape at boundary ``B``.
 
-        Returns ``(near, far_min)`` where ``near`` is the sorted tuple
-        of ``(time, priority, label)`` for every live event inside the
-        next round and ``far_min`` is the earliest live event at or
-        beyond the round's end (None if none) — or None if any in-round
-        event carries an unregistered label.
+        Returns ``(near, far_min, offgrid)`` where ``near`` is the sorted
+        tuple of ``(time, priority, label)`` for every live event inside
+        the next round, ``far_min`` is the earliest live event at or
+        beyond the round's end (None if none), and ``offgrid`` is True
+        if an in-round event belongs to a :class:`PeriodicTask` whose
+        period does not divide the round length (its next occurrence
+        after the round is not exactly one round later) — or None if any
+        in-round event carries an unregistered label.  With
+        ``stop_offgrid`` the walk stops at the first off-grid event and
+        returns ``((), None, True)``: the caller needs no more.
         """
-        horizon = B + self._round_len
+        L = self._round_len
+        horizon = B + L
         labels = self._labels
+        ptask = self._ptask
         near: list[tuple[int, int, int, str]] = []
         far_min: int | None = None
+        offgrid = False
         for tm, pr, sq, ev in self.sim._queue._heap:
             if ev.cancelled:
                 continue
@@ -508,8 +540,16 @@ class RoundTemplateEngine:
                 return None
             else:
                 near.append((tm, pr, sq, ev.label))
+                # PeriodicTask events call the task's bound ``_fire``
+                cb = ev.callback
+                if (type(cb) is MethodType and type(cb.__self__) is ptask
+                        and L % cb.__self__.period):
+                    if stop_offgrid:
+                        return (), None, True
+                    offgrid = True
         near.sort()
-        return tuple((tm, pr, label) for tm, pr, _sq, label in near), far_min
+        return (tuple((tm, pr, label) for tm, pr, _sq, label in near),
+                far_min, offgrid)
 
     def _snapshot(self, near: tuple) -> dict | None:
         """Full observable-state snapshot at a boundary whose in-round
@@ -580,8 +620,8 @@ class RoundTemplateEngine:
             "parts": part_deltas,
         }
 
-    def _make_tpl(self, delta: dict, protos: tuple, mbase: int,
-                  strides: tuple) -> dict:
+    @staticmethod
+    def _make_tpl(delta: dict, protos: tuple, mbase: int) -> dict:
         return {
             "protos": protos,
             "ticks": delta["ticks"],
@@ -590,8 +630,6 @@ class RoundTemplateEngine:
             "events": delta["events"],
             "parts": delta["parts"],
             "mbase": mbase,
-            "periodic": all(s == self._round_len for s in strides),
-            "strides": strides,
         }
 
     def _pair_records(self, r1s: list, r2s: list, B1: int, phi1: int,
@@ -661,17 +699,18 @@ class RoundTemplateEngine:
         norm = tuple((tm - B - phi, pr, label) for tm, pr, label in near)
         return (norm, fp)
 
-    def _successor_strides(self, near: tuple) -> list[int] | None:
-        """Per-event heap advance for one replayed round, measured at the
-        recorded round's *exit* boundary: each entry event's pending
-        successor (same priority and label) minus its entry time.  None
+    def _periodic(self, near: tuple) -> bool:
+        """Whether every chain pending in the recorded round comes back
+        exactly one round later, measured at the round's *exit*
+        boundary: each entry event's pending successor (same priority
+        and label) sits at its entry time plus the round length.  False
         if any entry has no successor (one-shot chains) or ``(priority,
         label)`` is ambiguous."""
         want: dict[tuple[int, str], int] = {}
         for tm, pr, label in near:
             k = (pr, label)
             if k in want:
-                return None  # ambiguous chain identity
+                return False  # ambiguous chain identity
             want[k] = tm
         succ: dict[tuple[int, str], int] = {}
         for tm2, pr2, _sq, ev in self.sim._queue._heap:
@@ -684,22 +723,18 @@ class RoundTemplateEngine:
             cur = succ.get(k)
             if cur is None or tm2 < cur:
                 succ[k] = tm2
-        strides = []
-        for tm, pr, label in near:
-            s = succ.get((pr, label))
-            if s is None:
-                return None
-            strides.append(s - tm)
-        return strides
+        L = self._round_len
+        return all(succ.get(k) == tm + L for k, tm in want.items())
 
     def _compile(self, key: tuple, psnap: dict, delta: dict,
                     records: list, entry_B: int) -> None:
         """One fully observed round for ``key`` just completed (entry at
         ``entry_B``, exit now): compile it, or pair it with an earlier
-        occurrence when record prototypes are needed."""
+        occurrence when record prototypes are needed.  Only periodic
+        rounds are banked; any other round counts as a failed
+        recording."""
         near = psnap["near"]
-        strides = self._successor_strides(near)
-        if strides is None:
+        if not self._periodic(near):
             self.failed_recordings += 1
             return
         phi = near[0][0] - entry_B if near else 0
@@ -707,11 +742,10 @@ class RoundTemplateEngine:
             # Counter-mode run: nothing to prototype — one observed
             # round whose delta passed every linearity check compiles
             # directly (the fingerprint guards hidden-state reuse).
-            self._bank[key] = self._make_tpl(delta, (), entry_B, tuple(strides))
+            self._bank[key] = self._make_tpl(delta, (), entry_B)
             self.recordings += 1
             return
-        cur = {"delta": delta, "records": records, "B": entry_B,
-               "phi": phi, "strides": list(strides)}
+        cur = {"delta": delta, "records": records, "B": entry_B, "phi": phi}
         cand = self._cands.get(key)
         if cand is None:
             self._cands[key] = cur
@@ -732,8 +766,6 @@ class RoundTemplateEngine:
                 or d1["hists"] != d2["hists"] or d1["events"] != d2["events"]
                 or d1["parts"] != d2["parts"]):
             return None
-        if cand["strides"] != cur["strides"]:
-            return None
         r1s, r2s = cand["records"], cur["records"]
         if len(r1s) != len(r2s):
             return None
@@ -744,7 +776,7 @@ class RoundTemplateEngine:
                                     cur["B"], cur["phi"], n)
         if protos is None:
             return None
-        return self._make_tpl(d2, protos, cur["B"], tuple(cur["strides"]))
+        return self._make_tpl(d2, protos, cur["B"])
 
     def _replay(self, tpl: dict, near: tuple, far_min: int | None,
                    B: int, t: int) -> int:
@@ -755,10 +787,6 @@ class RoundTemplateEngine:
         if k < 1:
             return 0
         phi = near[0][0] - B if near else 0
-        if not tpl["periodic"]:
-            # Chains off the round grid drift against it: one round at
-            # a time, each pending event advanced by its own stride.
-            k = 1
         # Model-driven participants bound how far extrapolation may run
         # past their last fingerprint check (rt_headroom); 0 forces the
         # round to run live.
@@ -768,7 +796,7 @@ class RoundTemplateEngine:
                 k = h
                 if k < 1:
                     return 0
-        self._apply(tpl, B, phi, k, near)
+        self._apply(tpl, B, phi, k)
         return k
 
     # ------------------------------------------------------------------
@@ -821,12 +849,9 @@ class RoundTemplateEngine:
                 for sink in record_sinks:
                     sink.emit(rec)
 
-    def _apply(self, tpl: dict, B: int, phi: int, k: int,
-               near: tuple) -> None:
+    def _apply(self, tpl: dict, B: int, phi: int, k: int) -> None:
         """Apply ``k`` rounds' worth of ``tpl`` starting at ``B`` with
         the observed boundary phase ``phi``."""
-        from .kernel import PeriodicTask  # local import: kernel imports us
-
         sim = self.sim
         L = self._round_len
         trace = sim.trace
@@ -881,36 +906,20 @@ class RoundTemplateEngine:
         for part, delta in npd["padv"]:
             part.rt_advance(delta, k)
 
-        # 6. pending events advance by their observed successor strides:
-        #    uniformly (one heap shift of k rounds) on a periodic
-        #    template, per-event otherwise.
+        # 6. every chain pending in the round comes back exactly one
+        #    round later (only periodic rounds are banked): one heap
+        #    shift of k rounds.
         queue = sim._queue
         horizon = B + L
-        if tpl["periodic"]:
-            shift = k * L
-            for tm, _pr, _sq, ev in queue._heap:
-                if ev.cancelled or tm >= horizon:
-                    continue
-                owner = getattr(ev.callback, "__self__", None)
-                if isinstance(owner, PeriodicTask):
-                    owner.next_time += shift
-            queue.shift_span(horizon, shift)
-        else:
-            pending: dict[tuple[int, int, str], list[int]] = {}
-            for (tm, pr, label), st in zip(near, tpl["strides"]):
-                pending.setdefault((tm, pr, label), []).append(st * k)
-
-            def _retime(tm: int, pr: int, ev: Any) -> int | None:
-                lst = pending.get((tm, pr, ev.label))
-                if not lst:
-                    return None
-                st = lst.pop(0)
-                owner = getattr(ev.callback, "__self__", None)
-                if isinstance(owner, PeriodicTask):
-                    owner.next_time += st
-                return tm + st
-
-            queue.retime_span(horizon, _retime)
+        shift = k * L
+        ptask = self._ptask
+        for tm, _pr, _sq, ev in queue._heap:
+            if ev.cancelled or tm >= horizon:
+                continue
+            owner = getattr(ev.callback, "__self__", None)
+            if isinstance(owner, ptask):
+                owner.next_time += shift
+        queue.shift_span(horizon, shift)
         # sim._now is deliberately left alone: the next executed event
         # (or the run_until tail) advances it, exactly as if the skipped
         # rounds had run.
@@ -926,6 +935,7 @@ class RoundTemplateEngine:
             "recordings": self.recordings,
             "failed_recordings": self.failed_recordings,
             "punctures": self.punctures,
+            "offgrid": self.offgrid,
             "bank_templates": len(self._bank) if self._armed else self._bank_size,
             "static_veto": sorted({type(p).__name__
                                    for p in self._part_hooks[2]}),

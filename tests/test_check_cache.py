@@ -117,6 +117,21 @@ class TestCodeDigest:
         assert digest == code_digest()
         assert digest and all(c in "0123456789abcdef" for c in digest)
 
+    def test_source_edit_changes_digest_and_bytecode_cache_does_not(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        (pkg / "sub").mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\n")
+        (pkg / "sub" / "b.py").write_text("y = 2\n")
+        before = code_digest((pkg,))
+        assert before == code_digest((pkg,))
+        (pkg / "__pycache__").mkdir()
+        (pkg / "__pycache__" / "x.py").write_text("z = 3\n")
+        (pkg / "sub" / "__pycache__").mkdir()
+        (pkg / "sub" / "__pycache__" / "x.py").write_text("z = 3\n")
+        assert code_digest((pkg,)) == before
+        (pkg / "sub" / "b.py").write_text("y = 3\n")
+        assert code_digest((pkg,)) != before
+
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(pytest.main([__file__, "-q"]))

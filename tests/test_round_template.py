@@ -421,6 +421,120 @@ def test_drifting_clock_cluster_stays_armed_but_runs_live() -> None:
     assert results[True] == results[False]
 
 
+# ----------------------------------------------------------------------
+# periodic-only banking
+# ----------------------------------------------------------------------
+class _BankSpy(dict):
+    """A bank that remembers every key ever stored in it (the engine
+    frees its bank when a run ends)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stored: list[tuple] = []
+
+    def __setitem__(self, key, value) -> None:
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def _banked_labels(spy: _BankSpy) -> set[str]:
+    return {label for norm, _fp in spy.stored for _rel, _pr, label in norm}
+
+
+def _cluster_with(extra, fast: bool) -> tuple[dict, dict, set[str]]:
+    """A two-node TT cluster plus ``extra(sim, round_len)``, a
+    registered-label chain off the round grid; returns the observable
+    run, the engine stats and every label a banked round held."""
+    from repro.core_network import ClusterBuilder, FrameChunk, NodeConfig
+    from repro.runner.executor import trace_digest
+    from repro.sim import Simulator, make_trace
+
+    sim = Simulator(seed=5, trace=make_trace("full"))
+    engine = sim.round_template
+    if fast:
+        engine.activate()
+    builder = ClusterBuilder(sim)
+    for name in ("n0", "n1"):
+        builder.add_node(NodeConfig(name, slot_capacity_bytes=32,
+                                    reservations={"v": 20}))
+    cluster = builder.build()
+    cluster.start()
+    cluster.controller("n0").register_chunk_source(
+        "v", lambda slot, budget: [FrameChunk(vn="v", message="m",
+                                              data=b"\x07")])
+    L = engine.round_length
+    engine.register_labels(["extra.tick"])
+    extra(sim, L)
+    spy = engine._bank = _BankSpy()
+    try:
+        sim.run_until(400 * L + L // 2)
+    finally:
+        sim.trace.close()
+    observed = {"digest": trace_digest(sim), "events": sim.events_executed,
+                "now": sim.now, "metrics": sim.metrics.snapshot()}
+    return observed, engine.stats(), _banked_labels(spy)
+
+
+def _tick(sim) -> None:
+    sim.metrics.counter("extra.ticks").inc()
+    sim.trace.record(sim.now, "extra.tick", "extra")
+
+
+def test_offgrid_periodic_task_rounds_run_live_and_are_never_banked() -> None:
+    """A registered :class:`PeriodicTask` whose period (5L/2) does not
+    divide the round never comes back one round later: every round that
+    holds it runs live and none is banked, while the rounds between
+    still replay, byte-identical to the event-by-event run."""
+    def extra(sim, L: int) -> None:
+        sim.every(5 * L // 2, lambda: _tick(sim), start=L // 3,
+                  label="extra.tick")
+
+    fast, stats, labels = _cluster_with(extra, fast=True)
+    slow, _, _ = _cluster_with(extra, fast=False)
+    assert fast == slow
+    assert fast["metrics"]["counters"]["extra.ticks"] > 100
+    assert stats["recordings"] >= 1 and stats["rounds_replayed"] > 0
+    assert stats["offgrid"] > 0
+    assert labels and "extra.tick" not in labels
+
+
+def test_one_shot_chain_off_the_round_stride_fails_to_compile() -> None:
+    """A chain re-armed by hand every 2L is invisible to the entry
+    check (no :class:`PeriodicTask` owns it), so its rounds are
+    recorded — and rejected at compile time, because its successor is
+    not one round later."""
+    def extra(sim, L: int) -> None:
+        def fire() -> None:
+            _tick(sim)
+            sim.at(sim.now + 2 * L, fire, label="extra.tick")
+
+        sim.at(L // 3, fire, label="extra.tick")
+
+    fast, stats, labels = _cluster_with(extra, fast=True)
+    slow, _, _ = _cluster_with(extra, fast=False)
+    assert fast == slow
+    assert stats["offgrid"] == 0
+    assert stats["failed_recordings"] > 0
+    assert labels and "extra.tick" not in labels
+
+
+def test_car_smoke_compiles_once_and_keeps_its_pinned_digest() -> None:
+    """The car's partition windows (2 ms) are off the 224.4 us round
+    grid, so the rounds that hold one run live without a key: one or
+    two templates cover the drive (no compile churn), the off-grid
+    boundaries are counted, and the digest stays pinned.  A pure-TT
+    cluster has no off-grid boundary."""
+    from .test_runtime import PINNED_DIGESTS
+
+    result = run_scenario(REGISTRY["car-smoke"])
+    stats = result["round_template"]
+    assert (result["digest"], result["events_executed"]) == PINNED_DIGESTS["car-smoke"]
+    assert 1 <= stats["recordings"] <= 2
+    assert stats["rounds_replayed"] > 100
+    assert stats["offgrid"] > 0
+    assert _run_registry("tdma-cluster")["offgrid"] == 0
+
+
 def test_build_car_replays_with_identical_trace() -> None:
     """``build_car`` arms the engine by default, outside the scenario
     registry too: a directly built car replays rounds, and its trace
